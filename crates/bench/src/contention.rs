@@ -15,15 +15,18 @@
 //!
 //! And two harness shapes:
 //!
-//! * [`ContentionHarness::new`] — the direct, unjournaled kernel: every
-//!   call (reads included) goes through `Kernel::execute`. This is the
-//!   historical fig9 series and deliberately bypasses the production write
-//!   pipeline.
+//! Every call that reaches `Kernel::execute` runs the flat-combining
+//! group-commit submit (DESIGN.md §16) — the kernel's only write path. The
+//! two harness shapes differ in the journal and in how reads are served:
+//!
+//! * [`ContentionHarness::new`] — no journal, and every call (reads
+//!   included) goes through `Kernel::execute`, so reads serialize on the
+//!   commit lock with the writes.
 //! * [`ContentionHarness::new_group_commit`] — the production shape: the
-//!   kernel journals every mutation, so writes run the flat-combining
-//!   group-commit submit path (DESIGN.md §16), and reads are served on the
-//!   calling thread via the lock-free RCU fast lane with a mediated-path
-//!   fallback — exactly what `ShieldedController` gives real apps.
+//!   kernel journals every mutation with batched appends, and reads are
+//!   served on the calling thread via the lock-free RCU fast lane with a
+//!   mediated-path fallback — exactly what `ShieldedController` gives real
+//!   apps.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -118,9 +121,6 @@ impl ContentionHarness {
     /// batched journal appends — and reads are served on the calling
     /// thread via [`Kernel::try_serve_read`] (falling back to the mediated
     /// path on epoch races), mirroring the `ShieldedController` defaults.
-    /// Single-writer switch lanes are enabled when the host has the ≥ 4
-    /// cores they need to pay off; below that the combiner applies batches
-    /// inline, same as the production default.
     pub fn new_group_commit() -> Self {
         Self::build(true)
     }
@@ -133,12 +133,6 @@ impl ContentionHarness {
         let journal = group_commit.then(|| {
             let journal = Arc::new(Journal::in_memory());
             kernel.attach_journal(Arc::clone(&journal));
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            if cores >= 4 {
-                kernel.set_switch_lanes(4, false);
-            }
             journal
         });
         let manifest = parse_manifest(

@@ -695,6 +695,10 @@ mod tests {
             );
             std::thread::yield_now();
         }
+        // The drainer pops before it assigns the sequence number; taking
+        // and releasing the drain lock waits out that in-flight sweep
+        // without draining anything itself (the ring is already empty).
+        drop(log.shared.drain.lock());
         assert_eq!(log.shared.next_seq.load(Ordering::SeqCst), 1);
     }
 

@@ -99,6 +99,12 @@ pub enum Command {
         /// Seconds to advance.
         secs: u64,
     },
+    /// Delete every flow on a switch whose connection died, recording each
+    /// removal in the ownership tracker.
+    ReapSwitch {
+        /// The dead switch.
+        dpid: DatapathId,
+    },
     /// Fail the link between two switches.
     FailLink {
         /// One endpoint.
@@ -132,6 +138,7 @@ impl Command {
             Command::HostSend { .. } => "host_send",
             Command::SubscribeTopic { .. } => "subscribe_topic",
             Command::AdvanceClock { .. } => "advance_clock",
+            Command::ReapSwitch { .. } => "reap_switch",
             Command::FailLink { .. } => "fail_link",
             Command::InjectHostFrame { .. } => "inject_host_frame",
             Command::RecordPktIns { .. } => "record_pkt_ins",
@@ -507,6 +514,10 @@ pub fn encode_command(cmd: &Command, out: &mut BytesMut) {
                 codec::put_bytes(payload, out);
             }
         }
+        Command::ReapSwitch { dpid } => {
+            out.put_u8(12);
+            out.put_u64(dpid.0);
+        }
     }
 }
 
@@ -598,6 +609,12 @@ pub fn decode_command(b: &mut Bytes) -> Result<Command, DecodeError> {
                 grants.push((app, codec::get_bytes(b)?));
             }
             Command::RecordPktIns { grants }
+        }
+        12 => {
+            need(b, 8)?;
+            Command::ReapSwitch {
+                dpid: DatapathId(b.get_u64()),
+            }
         }
         _ => return Err(DecodeError::new("bad command tag")),
     })
@@ -1120,6 +1137,9 @@ mod tests {
                 topic: "alto".into(),
             },
             Command::AdvanceClock { secs: 30 },
+            Command::ReapSwitch {
+                dpid: DatapathId(2),
+            },
             Command::FailLink {
                 a: DatapathId(1),
                 b: DatapathId(2),

@@ -560,16 +560,6 @@ pub struct ControllerConfig {
     /// and for every stateful or mutating call. On by default; turn off to
     /// force the pure-deputy path (baseline measurements, differentials).
     pub read_fast_path: bool,
-    /// Single-writer switch lanes inside the group-commit combiner
-    /// (DESIGN.md §16): flow-mod application for a datapath always runs on
-    /// its home lane (`dpid % switch_lanes`). 0 (the default) disables the
-    /// lane pool — the combiner applies batches inline, which is the right
-    /// choice below ~4 cores where lane handoff costs more than it saves.
-    pub switch_lanes: usize,
-    /// Pin deputy threads and switch lanes to cores round-robin
-    /// (best-effort `sched_setaffinity`; a no-op where unsupported). Off by
-    /// default.
-    pub pin_threads: bool,
 }
 
 impl Default for ControllerConfig {
@@ -579,8 +569,6 @@ impl Default for ControllerConfig {
             app_queue_capacity: 1024,
             call_timeout: Duration::from_secs(10),
             read_fast_path: true,
-            switch_lanes: 0,
-            pin_threads: false,
         }
     }
 }
@@ -666,9 +654,6 @@ struct DeputyPool {
     next_deputy: AtomicUsize,
     respawns: AtomicUsize,
     shutting_down: AtomicBool,
-    /// Core-affine deputy shards: pin each deputy to a core, round-robin,
-    /// best-effort (the ROADMAP's "NUMA/core-pinned deputy shards" lever).
-    pin_threads: bool,
 }
 
 impl DeputyPool {
@@ -679,15 +664,9 @@ impl DeputyPool {
         let rx = self.call_rx.clone();
         let inflight = Arc::clone(&self.inflight);
         let faults = Arc::clone(&self.faults);
-        let pin = self.pin_threads;
         let handle = std::thread::Builder::new()
             .name(format!("ksd-{i}"))
-            .spawn(move || {
-                if pin {
-                    let _ = affinity::pin_to_core(i);
-                }
-                deputy_loop(cell, dispatcher, rx, inflight, faults)
-            })
+            .spawn(move || deputy_loop(cell, dispatcher, rx, inflight, faults))
             .expect("spawn deputy");
         self.handles.lock().push(handle);
     }
@@ -867,9 +846,6 @@ impl ShieldedController {
     pub fn new_with_config(network: Network, config: ControllerConfig) -> Self {
         assert!(config.num_deputies > 0, "need at least one deputy");
         let kernel = Arc::new(Kernel::new(network, true));
-        if config.switch_lanes > 0 {
-            kernel.set_switch_lanes(config.switch_lanes, config.pin_threads);
-        }
         let cell = Arc::new(KernelCell::new(kernel));
         let inflight = Arc::new(AtomicUsize::new(0));
         let dispatcher = Arc::new(Dispatcher::new(Arc::clone(&inflight)));
@@ -885,7 +861,6 @@ impl ShieldedController {
             next_deputy: AtomicUsize::new(0),
             respawns: AtomicUsize::new(0),
             shutting_down: AtomicBool::new(false),
-            pin_threads: config.pin_threads,
         });
         for _ in 0..config.num_deputies {
             pool.spawn_deputy();
@@ -919,10 +894,9 @@ impl ShieldedController {
     }
 
     /// Group-commit write-pipeline counters of the *active* kernel
-    /// (DESIGN.md §16): submit-batch-size histogram, combiner occupancy,
-    /// lane fan-out depths. After a [`ShieldedController::promote`] the
-    /// counters restart with the promoted kernel, like every other
-    /// per-kernel statistic.
+    /// (DESIGN.md §16): submit-batch-size histogram and combiner occupancy.
+    /// After a [`ShieldedController::promote`] the counters restart with the
+    /// promoted kernel, like every other per-kernel statistic.
     pub fn combiner_stats(&self) -> crate::kernel::CombinerStats {
         self.cell.load().combiner_stats()
     }
@@ -1001,11 +975,6 @@ impl ShieldedController {
         let promoted = standby.kernel();
         if let Some(journal) = old.journal() {
             promoted.attach_journal(journal);
-        }
-        // The promoted kernel inherits the controller's write-pipeline
-        // configuration (a recovered kernel starts with lanes disabled).
-        if self.config.switch_lanes > 0 {
-            promoted.set_switch_lanes(self.config.switch_lanes, self.config.pin_threads);
         }
         self.cell.store(Arc::clone(&promoted));
         promoted
@@ -1276,6 +1245,15 @@ impl ShieldedController {
             }
             None => false,
         }
+    }
+
+    /// Reaps a dead switch: deletes its flows through the kernel's write
+    /// path (ownership tracker and journal included) and dispatches the
+    /// resulting flow-removed events without waiting for subscribers.
+    pub fn reap_switch(&self, dpid: DatapathId) {
+        let kernel = self.cell.load();
+        let events = kernel.reap_switch(dpid);
+        self.dispatcher.dispatch(&kernel, events, false);
     }
 
     /// Fires a topology-change notification to subscribed apps (the ALTO

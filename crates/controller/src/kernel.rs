@@ -1,41 +1,47 @@
 //! The controller kernel: the single owner of network state, the permission
 //! engines, and the book-keeping behind stateful filters.
 //!
-//! All mutation goes through [`Kernel::execute`] — the choke point the paper
-//! calls the Kernel Service Deputy boundary (§VI-A). The kernel checks the
-//! call against the calling app's compiled permission engine (unless checks
-//! are disabled — the monolithic baseline), executes it, records the outcome
-//! in the audit log, and returns any events the execution generated for the
-//! dispatcher to deliver.
+//! All mutation goes through [`Kernel::submit`] — the choke point the paper
+//! calls the Kernel Service Deputy boundary (§VI-A). Every public mutator
+//! ([`Kernel::execute`], [`Kernel::register_app`], [`Kernel::advance_clock`],
+//! …) reifies its call as a [`Command`] and submits it; the kernel checks
+//! the call against the calling app's compiled permission engine (unless
+//! checks are disabled — the monolithic baseline), executes it, records the
+//! outcome in the audit log, appends the command to the attached journal (a
+//! kernel without one has no sink), and returns any events the execution
+//! generated for the dispatcher to deliver.
 //!
 //! # Concurrency
 //!
-//! There is no kernel-wide lock. State is decomposed into independently
-//! synchronized subsystems so concurrent deputies contend only where they
-//! genuinely share data (paper §IX-B2: permission engines are stateless per
-//! call and scale out across deputy threads):
+//! Writes serialize on one kernel-wide commit lock. [`Kernel::submit`] is a
+//! flat combiner (DESIGN.md §16): contended submitters park their commands
+//! in a slot ring and the lock winner applies the whole batch under one
+//! acquisition. Because a write's permission check and its apply happen
+//! under the same lock, quotas are exact and transactions are isolated from
+//! other writers.
+//!
+//! The read side never takes the commit lock (a read that reaches
+//! [`Kernel::execute`] on the deputy path is a command like any other).
+//! State is decomposed into independently synchronized subsystems so the
+//! app-side read fast lane ([`Kernel::try_serve_read`]), subscriber lookups
+//! and RCU switch views run lock-free or under short shared locks,
+//! concurrently with the writer:
 //!
 //! * **registry** (`RwLock`): engines, app names, virtual topologies.
-//!   Read-mostly — written only at register/deregister time. The permission
-//!   check clones an `Arc<PermissionEngine>` out of a read guard and runs
-//!   against the tracker's read lock: no exclusive kernel lock anywhere on
-//!   the check path.
-//! * **network**: internally sharded by `netsim` — per-switch mutexes, an
-//!   `RwLock` topology, an atomic clock. Flow-mods on distinct datapaths
-//!   take distinct locks.
+//! * **network**: internally sharded by `netsim` — per-switch mutexes with
+//!   RCU views, an `RwLock` topology, an atomic clock.
 //! * **tracker** (`RwLock`): ownership/quota state read by checks, written
 //!   after successful flow-mods.
-//! * **audit**: internally segmented, lock-free sequence allocation;
-//!   appends never serialize deputies on one mutex.
+//! * **audit**: lock-free ring with drain-time sequence allocation.
 //! * **subs**, **host**, **host_inbox**: small independent locks.
 //!
 //! Lock-ordering hierarchy (a thread may only acquire downward, and the
 //! code never holds two of these at once except Registry→Topology inside
 //! `topology_view_for`): Registry → Subs → Tracker → Topology →
-//! Switch(ascending dpid, one at a time) → Host → HostInbox. See
-//! DESIGN.md "Locking hierarchy & scaling" for the rationale and the
-//! relaxations this buys (check-then-apply quota overshoot, cross-thread
-//! audit ordering).
+//! Switch(ascending dpid, one at a time) → Host → HostInbox. The commit
+//! lock sits outside the hierarchy: it is always taken first. See DESIGN.md
+//! "Locking hierarchy & scaling" for the rationale and the one remaining
+//! relaxation (cross-thread audit visibility).
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,10 +58,10 @@ use sdnshield_core::filter::{FilterExpr, SingletonFilter};
 use sdnshield_core::perm::PermissionSet;
 use sdnshield_core::token::PermissionToken;
 use sdnshield_core::vtopo::{PhysView, VirtualTopology};
-use sdnshield_netsim::network::{Delivery, Network};
-use sdnshield_openflow::flow_table::RemovedEntry;
+use sdnshield_netsim::network::{Delivery, Network, RemovedFlow};
+use sdnshield_openflow::flow_match::FlowMatch;
 use sdnshield_openflow::messages::{
-    FlowMod, FlowRemoved, OfError, PacketIn, PacketOut, StatsReply, StatsRequest,
+    FlowMod, FlowRemoved, PacketIn, PacketOut, StatsReply, StatsRequest,
 };
 use sdnshield_openflow::packet::EthernetFrame;
 use sdnshield_openflow::types::{Cookie, DatapathId, EthAddr};
@@ -192,12 +198,6 @@ struct CombinerCounters {
     batch_hist: [AtomicU64; 8],
     /// Largest batch drained so far.
     max_batch: AtomicU64,
-    /// Flow-mods fanned out to switch lanes.
-    lane_jobs: AtomicU64,
-    /// Lane-parallel runs executed.
-    lane_runs: AtomicU64,
-    /// Deepest per-run lane fan-out observed.
-    max_lane_run: AtomicU64,
 }
 
 fn hist_bucket(n: usize) -> usize {
@@ -234,14 +234,6 @@ pub struct CombinerStats {
     pub ring_depth: usize,
     /// Slot-ring capacity.
     pub ring_capacity: usize,
-    /// Flow-mods fanned out to switch lanes.
-    pub lane_jobs: u64,
-    /// Lane-parallel runs executed.
-    pub lane_runs: u64,
-    /// Deepest per-run lane fan-out (lane-queue-depth high-water mark).
-    pub max_lane_run: u64,
-    /// Configured switch-lane count (0 = lanes disabled).
-    pub lanes: usize,
 }
 
 impl CombinerStats {
@@ -253,113 +245,6 @@ impl CombinerStats {
             self.submitted as f64 / self.drains as f64
         }
     }
-}
-
-/// A flow-mod application job bound for a switch's home lane.
-struct LaneJob {
-    /// Position within the current run (results are reassembled by index).
-    idx: usize,
-    dpid: DatapathId,
-    flow_mod: FlowMod,
-}
-
-/// Outcome of one lane-applied flow-mod.
-type LaneApply = Result<Vec<RemovedEntry>, OfError>;
-/// A lane's reply: the job's run index plus its apply outcome.
-type LaneResult = (usize, LaneApply);
-
-/// Single-writer switch lanes: N worker threads, each the *only* writer for
-/// its home shard of datapaths (`dpid % lanes`), so flow-mod application
-/// inside a combiner drain takes effectively uncontended switch locks. Jobs
-/// for the same dpid always land on the same lane in drain order, so
-/// per-switch apply order — and with it every removed-entry event — is
-/// identical to the serial path.
-struct LanePool {
-    senders: Vec<crossbeam::channel::Sender<LaneJob>>,
-    results_rx: crossbeam::channel::Receiver<LaneResult>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl LanePool {
-    fn new(network: Arc<Network>, lanes: usize, pin: bool) -> LanePool {
-        let (res_tx, res_rx) = crossbeam::channel::unbounded::<LaneResult>();
-        let mut senders = Vec::with_capacity(lanes);
-        let mut handles = Vec::with_capacity(lanes);
-        for i in 0..lanes {
-            let (tx, rx) = crossbeam::channel::unbounded::<LaneJob>();
-            let net = Arc::clone(&network);
-            let res = res_tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("ksl-{i}"))
-                .spawn(move || {
-                    if pin {
-                        let _ = affinity::pin_to_core(i);
-                    }
-                    while let Ok(job) = rx.recv() {
-                        let out = net.apply_flow_mod(job.dpid, &job.flow_mod);
-                        if res.send((job.idx, out)).is_err() {
-                            break;
-                        }
-                    }
-                })
-                .expect("failed to spawn switch lane");
-            senders.push(tx);
-            handles.push(handle);
-        }
-        LanePool {
-            senders,
-            results_rx: res_rx,
-            handles,
-        }
-    }
-
-    fn lane_count(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// The home lane for a datapath.
-    fn home(&self, dpid: DatapathId) -> usize {
-        dpid.0 as usize % self.senders.len()
-    }
-
-    fn dispatch(&self, idx: usize, dpid: DatapathId, flow_mod: FlowMod) {
-        let _ = self.senders[self.home(dpid)].send(LaneJob {
-            idx,
-            dpid,
-            flow_mod,
-        });
-    }
-
-    /// Collects exactly `jobs` results into `sink` by index.
-    fn collect(&self, jobs: usize, sink: &mut [Option<LaneApply>]) {
-        for _ in 0..jobs {
-            let (idx, out) = self.results_rx.recv().expect("switch lane died mid-batch");
-            sink[idx] = Some(out);
-        }
-    }
-}
-
-impl Drop for LanePool {
-    fn drop(&mut self) {
-        self.senders.clear(); // disconnect: workers exit their recv loop
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// The precomputed per-command plan for one entry of a lane-parallel run:
-/// the permission decision is already made (it was call-only, hence a pure
-/// function of the call), the cookie is stamped, and the target is a single
-/// physical datapath.
-struct FlowLanePlan {
-    app: AppId,
-    kind_name: &'static str,
-    token: PermissionToken,
-    dpid: DatapathId,
-    /// `Some` iff the call passed its check (denied calls carry no mod).
-    stamped: Option<FlowMod>,
-    denied: Option<ApiError>,
 }
 
 /// Read-mostly app registry: written only at register/deregister time, read
@@ -420,8 +305,8 @@ pub struct Kernel {
     /// invalidates it; the reverse order could cache a stale engine under
     /// the *current* epoch forever).
     registry_epoch: std::sync::atomic::AtomicU64,
-    /// Serializes command apply+append once a journal is attached, making
-    /// journal order identical to commit order. Deliberately OUTSIDE the
+    /// Serializes every command's apply+append, making journal order
+    /// identical to commit order. Deliberately OUTSIDE the
     /// `lockorder` hierarchy: it is always acquired before any ranked
     /// subsystem lock and released after them, so it cannot participate in
     /// an inversion — and reads never take it at all.
@@ -433,15 +318,9 @@ pub struct Kernel {
     submit_ring: ArrayQueue<Arc<SubmitSlot>>,
     /// Write-pipeline observability counters.
     combiner: CombinerCounters,
-    /// Single-writer switch lanes (`None` = lanes disabled, the default).
-    /// Only the combiner — which holds the commit lock — uses the pool, so
-    /// this mutex is uncontended on the hot path.
-    lanes: Mutex<Option<LanePool>>,
-    /// The attached command journal, if any.
+    /// The attached command journal; `None` is the null sink. Replaced only
+    /// under the commit lock, so one drain sees one sink.
     journal: Mutex<Option<Arc<Journal>>>,
-    /// Fast flag mirroring `journal.is_some()`, checked by the public
-    /// wrappers without taking the journal mutex.
-    journal_attached: AtomicBool,
     /// Set by [`Kernel::seal`]: every later submit is refused with
     /// [`ApiError::Shutdown`] instead of being applied. This is how failover
     /// fences the old primary.
@@ -503,9 +382,7 @@ impl Kernel {
             commit: Mutex::new(()),
             submit_ring: ArrayQueue::new(SUBMIT_RING_CAPACITY),
             combiner: CombinerCounters::default(),
-            lanes: Mutex::new(None),
             journal: Mutex::new(None),
-            journal_attached: AtomicBool::new(false),
             sealed: AtomicBool::new(false),
             last_applied: AtomicU64::new(0),
             replaying: AtomicBool::new(false),
@@ -693,25 +570,20 @@ impl Kernel {
         name: &str,
         manifest: &PermissionSet,
     ) -> Result<(), ApiError> {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (outcome, _) = self.submit(Command::RegisterApp {
-                app,
-                name: name.to_owned(),
-                manifest: manifest.to_string(),
-            });
-            return outcome.into_ack();
-        }
-        let lint = self
-            .lint_on_register
-            .load(std::sync::atomic::Ordering::SeqCst);
-        self.register_app_unjournaled(app, name, manifest, &manifest.to_string(), lint)
+        self.submit(Command::RegisterApp {
+            app,
+            name: name.to_owned(),
+            manifest: manifest.to_string(),
+        })
+        .0
+        .into_ack()
     }
 
     /// The registration body proper. `text` is the canonical manifest text
     /// retained for snapshots; `lint` gates the registration-time lint
     /// (recovery re-registers snapshot apps with `lint = false` — those
     /// manifests were admitted before the crash).
-    fn register_app_unjournaled(
+    fn install_app(
         &self,
         app: AppId,
         name: &str,
@@ -810,30 +682,19 @@ impl Kernel {
     /// Executes one mediated call: permission check, execution, audit.
     /// Returns the response plus any events to dispatch.
     ///
-    /// With a journal attached the call is reified as a [`Command`] and
-    /// routed through [`Kernel::submit`] — applied and appended under the
-    /// commit lock. Journaling is unconditional, denials included: replay
-    /// re-derives the same denials, which is what keeps tracker epochs (a
-    /// count of tracker mutations) identical between a live kernel and its
-    /// recovered twin.
-    ///
-    /// The check acquires no exclusive lock: it reads the engine out of the
-    /// registry (shared lock, dropped immediately) and evaluates against a
-    /// shared borrow of the ownership tracker. Execution then takes only
-    /// the locks the specific call needs — a flow-mod on switch 3 contends
-    /// with nothing but other traffic on switch 3.
+    /// The call is reified as a [`Command`] and routed through
+    /// [`Kernel::submit`] — checked, applied and journaled under the commit
+    /// lock. Denials are journaled too: replay re-derives the same denials,
+    /// which is what keeps tracker epochs (a count of tracker mutations)
+    /// identical between a live kernel and its recovered twin.
     pub fn execute(&self, call: &ApiCall) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (outcome, events) = self.submit(Command::Call(call.clone()));
-            return (outcome.into_api(), events);
-        }
-        self.execute_unjournaled(call)
+        let (outcome, events) = self.submit(Command::Call(call.clone()));
+        (outcome.into_api(), events)
     }
 
-    fn execute_unjournaled(
-        &self,
-        call: &ApiCall,
-    ) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
+    /// Checks one call against the app's engine, applies it if allowed, and
+    /// audits the outcome.
+    fn mediate(&self, call: &ApiCall) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
         if self.checks_enabled {
             let Some(engine) = self.engine_for(call.app) else {
                 let err = ApiError::PermissionDenied {
@@ -976,14 +837,11 @@ impl Kernel {
         app: AppId,
         ops: &[FlowOp],
     ) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (outcome, events) = self.submit(Command::Transaction {
-                app,
-                ops: ops.to_vec(),
-            });
-            return (outcome.into_api(), events);
-        }
-        self.run_atomic(app, ops, "transaction")
+        let (outcome, events) = self.submit(Command::Transaction {
+            app,
+            ops: ops.to_vec(),
+        });
+        (outcome.into_api(), events)
     }
 
     /// Executes a batch of flow operations submitted through the batched
@@ -997,14 +855,11 @@ impl Kernel {
         app: AppId,
         ops: &[FlowOp],
     ) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (outcome, events) = self.submit(Command::Batch {
-                app,
-                ops: ops.to_vec(),
-            });
-            return (outcome.into_api(), events);
-        }
-        self.run_atomic(app, ops, "batch")
+        let (outcome, events) = self.submit(Command::Batch {
+            app,
+            ops: ops.to_vec(),
+        });
+        (outcome.into_api(), events)
     }
 
     /// Checks and applies a group of packet-outs moved across the deputy
@@ -1020,17 +875,15 @@ impl Kernel {
         app: AppId,
         outs: &[(DatapathId, PacketOut)],
     ) -> (Result<usize, ApiError>, Vec<OutboundEvent>) {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (outcome, events) = self.submit(Command::PacketOuts {
-                app,
-                outs: outs.to_vec(),
-            });
-            return (outcome.into_count(), events);
-        }
-        self.execute_packet_outs_unjournaled(app, outs)
+        let (outcome, events) = self.submit(Command::PacketOuts {
+            app,
+            outs: outs.to_vec(),
+        });
+        (outcome.into_count(), events)
     }
 
-    fn execute_packet_outs_unjournaled(
+    /// Checks, sends and audits each packet-out of a vectored group.
+    fn mediate_packet_outs(
         &self,
         app: AppId,
         outs: &[(DatapathId, PacketOut)],
@@ -1214,18 +1067,7 @@ impl Kernel {
     /// Injects a data-plane frame from a host NIC (the simulation driver),
     /// returning packet-in events for dispatch.
     pub fn inject_host_frame(&self, frame: EthernetFrame) -> Vec<OutboundEvent> {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (_, events) = self.submit(Command::InjectHostFrame { frame });
-            return events;
-        }
-        self.inject_host_frame_unjournaled(frame)
-    }
-
-    fn inject_host_frame_unjournaled(&self, frame: EthernetFrame) -> Vec<OutboundEvent> {
-        match self.network.inject_from_host(frame) {
-            Ok(deliveries) => self.absorb_deliveries(deliveries),
-            Err(_) => Vec::new(),
-        }
+        self.submit(Command::InjectHostFrame { frame }).1
     }
 
     /// Feeds a fabricated packet-in (CBench-style benchmarking) without a
@@ -1240,23 +1082,7 @@ impl Kernel {
     /// and produces a topology-changed event for subscribed apps. Returns
     /// `None` when no such link existed (no event is produced).
     pub fn fail_link(&self, a: DatapathId, b: DatapathId) -> Option<OutboundEvent> {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (_, events) = self.submit(Command::FailLink { a, b });
-            return events.into_iter().next();
-        }
-        self.fail_link_unjournaled(a, b)
-    }
-
-    fn fail_link_unjournaled(&self, a: DatapathId, b: DatapathId) -> Option<OutboundEvent> {
-        if self.network.with_topology_mut(|t| t.remove_link(a, b)) {
-            Some(OutboundEvent {
-                event: Event::TopologyChanged {
-                    description: format!("link {a} <-> {b} failed"),
-                },
-            })
-        } else {
-            None
-        }
+        self.submit(Command::FailLink { a, b }).1.into_iter().next()
     }
 
     /// Advances the virtual clock, expiring flows and producing
@@ -1264,35 +1090,41 @@ impl Kernel {
     /// is a deterministic function of clock position, so replaying the
     /// clock replays the expiries.
     pub fn advance_clock(&self, secs: u64) -> Vec<OutboundEvent> {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (_, events) = self.submit(Command::AdvanceClock { secs });
-            return events;
-        }
-        self.advance_clock_unjournaled(secs)
+        self.submit(Command::AdvanceClock { secs }).1
     }
 
-    fn advance_clock_unjournaled(&self, secs: u64) -> Vec<OutboundEvent> {
-        let removed = self.network.advance_clock(secs);
-        let mut events = Vec::new();
+    /// Deletes every flow on a switch whose connection died, so a
+    /// reconnecting switch starts empty and its apps' quotas and ownership
+    /// records start over. Returns flow-removed events for the deleted
+    /// entries, as [`Kernel::advance_clock`] does for expiries.
+    pub fn reap_switch(&self, dpid: DatapathId) -> Vec<OutboundEvent> {
+        self.submit(Command::ReapSwitch { dpid }).1
+    }
+
+    /// Records each removed flow as expired in the ownership tracker (one
+    /// write-lock acquisition) and turns it into a flow-removed event.
+    fn record_removals(&self, removed: Vec<RemovedFlow>) -> Vec<OutboundEvent> {
         if removed.is_empty() {
-            return events;
+            return Vec::new();
         }
         self.tracker_mut(|tracker| {
-            for r in removed {
-                tracker.record_expiry(
-                    r.dpid,
-                    &r.removed.entry.flow_match,
-                    r.removed.entry.priority,
-                );
-                events.push(OutboundEvent {
-                    event: Event::FlowRemoved {
-                        dpid: r.dpid,
-                        flow_removed: to_flow_removed(&r.removed),
-                    },
-                });
-            }
-        });
-        events
+            removed
+                .into_iter()
+                .map(|r| {
+                    tracker.record_expiry(
+                        r.dpid,
+                        &r.removed.entry.flow_match,
+                        r.removed.entry.priority,
+                    );
+                    OutboundEvent {
+                        event: Event::FlowRemoved {
+                            dpid: r.dpid,
+                            flow_removed: to_flow_removed(&r.removed),
+                        },
+                    }
+                })
+                .collect()
+        })
     }
 
     /// Current virtual time in seconds.
@@ -1317,14 +1149,10 @@ impl Kernel {
     /// (Registry, Subs, Host, then each switch in ascending dpid order, then
     /// Tracker), so reaping can never deadlock against concurrent deputies.
     pub fn deregister_app(&self, app: AppId) -> Vec<OutboundEvent> {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (_, events) = self.submit(Command::DeregisterApp { app });
-            return events;
-        }
-        self.deregister_app_unjournaled(app)
+        self.submit(Command::DeregisterApp { app }).1
     }
 
-    fn deregister_app_unjournaled(&self, app: AppId) -> Vec<OutboundEvent> {
+    fn uninstall_app(&self, app: AppId) -> Vec<OutboundEvent> {
         self.trace_event(|| sdnshield_core::trace::TraceEvent::Deregister { app });
         {
             let mut reg = self.reg_write();
@@ -1344,27 +1172,7 @@ impl Kernel {
             }
         }
         self.host_lock().close_connections(app);
-        let removed = self.network.remove_flows_owned_by(app.0);
-        let mut events = Vec::new();
-        if removed.is_empty() {
-            return events;
-        }
-        self.tracker_mut(|tracker| {
-            for r in removed {
-                tracker.record_expiry(
-                    r.dpid,
-                    &r.removed.entry.flow_match,
-                    r.removed.entry.priority,
-                );
-                events.push(OutboundEvent {
-                    event: Event::FlowRemoved {
-                        dpid: r.dpid,
-                        flow_removed: to_flow_removed(&r.removed),
-                    },
-                });
-            }
-        });
-        events
+        self.record_removals(self.network.remove_flows_owned_by(app.0))
     }
 
     /// Records an app crash in the audit log (`phase` says where it died,
@@ -1417,22 +1225,10 @@ impl Kernel {
     /// Subscribes an app to a custom topic (not permission-gated: topics are
     /// app-published data, mediated by the publishing app).
     pub fn subscribe_topic(&self, app: AppId, topic: &str) {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let _ = self.submit(Command::SubscribeTopic {
-                app,
-                topic: topic.to_owned(),
-            });
-            return;
-        }
-        self.subscribe_topic_unjournaled(app, topic);
-    }
-
-    fn subscribe_topic_unjournaled(&self, app: AppId, topic: &str) {
-        let mut subs = self.subs_write();
-        let subs = subs.custom.entry(topic.to_owned()).or_default();
-        if !subs.contains(&app) {
-            subs.push(app);
-        }
+        self.submit(Command::SubscribeTopic {
+            app,
+            topic: topic.to_owned(),
+        });
     }
 
     /// May this app read packet-in payloads (`read_payload`)? Always true on
@@ -1455,23 +1251,8 @@ impl Kernel {
         if grants.is_empty() {
             return;
         }
-        if self.journal_attached.load(Ordering::Acquire) {
-            let _ = self.submit(Command::RecordPktIns {
-                grants: grants.to_vec(),
-            });
-            return;
-        }
-        self.record_pkt_ins_unjournaled(grants);
-    }
-
-    fn record_pkt_ins_unjournaled(&self, grants: &[(AppId, Bytes)]) {
-        if grants.is_empty() {
-            return;
-        }
-        self.tracker_mut(|tracker| {
-            for (app, payload) in grants {
-                tracker.record_pkt_in(*app, payload);
-            }
+        self.submit(Command::RecordPktIns {
+            grants: grants.to_vec(),
         });
     }
 
@@ -1527,18 +1308,17 @@ impl Kernel {
     /// destination against the app's `host_network` filter (so a filter
     /// narrowed after connect still applies).
     pub fn host_send(&self, app: AppId, conn: ConnId, data: Bytes) -> Result<(), ApiError> {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (outcome, _) = self.submit(Command::HostSend {
-                app,
-                conn: conn.0,
-                data,
-            });
-            return outcome.into_ack();
-        }
-        self.host_send_unjournaled(app, conn, data)
+        self.submit(Command::HostSend {
+            app,
+            conn: conn.0,
+            data,
+        })
+        .0
+        .into_ack()
     }
 
-    fn host_send_unjournaled(&self, app: AppId, conn: ConnId, data: Bytes) -> Result<(), ApiError> {
+    /// Re-checks the connection's destination and records the send.
+    fn mediate_host_send(&self, app: AppId, conn: ConnId, data: Bytes) -> Result<(), ApiError> {
         let dst = {
             let host = self.host_lock();
             let found = host
@@ -1617,10 +1397,10 @@ impl Kernel {
     // The deterministic command pipeline (DESIGN.md §12).
     // ------------------------------------------------------------------
 
-    /// Attaches a command journal: every subsequent state-changing entry
-    /// point is reified as a [`Command`], applied and appended under the
-    /// commit lock. Attach AFTER any recovery replay has finished — replay
-    /// must never re-append the records it is consuming.
+    /// Attaches a command journal: every later command is appended to it
+    /// under the commit lock, right after it applies. Attach AFTER any
+    /// recovery replay has finished — replay must never re-append the
+    /// records it is consuming.
     pub fn attach_journal(&self, journal: Arc<Journal>) {
         let _commit = self.commit.lock();
         let seq = journal
@@ -1628,7 +1408,6 @@ impl Kernel {
             .max(self.last_applied.load(Ordering::SeqCst));
         self.last_applied.store(seq, Ordering::SeqCst);
         *self.journal.lock() = Some(journal);
-        self.journal_attached.store(true, Ordering::Release);
     }
 
     /// The attached journal, if any.
@@ -1657,9 +1436,10 @@ impl Kernel {
         self.sealed.load(Ordering::SeqCst)
     }
 
-    /// The single mutation seam, now a flat-combining group commit
-    /// (DESIGN.md §16): an uncontended submitter takes the commit lock and
-    /// applies inline, exactly like the pre-combining path. A contended
+    /// The single mutation seam — every public mutator is one call to it —
+    /// built as a flat-combining group commit (DESIGN.md §16): an
+    /// uncontended submitter takes the commit lock and applies inline,
+    /// exactly like the pre-combining path. A contended
     /// submitter publishes its command into the slot ring and parks; the
     /// lock winner drains the ring and applies the whole batch under *one*
     /// lock acquisition with *one* amortized journal group-append, then
@@ -1777,7 +1557,7 @@ impl Kernel {
             .fetch_max(n as u64, Ordering::Relaxed);
 
         let sealed = self.sealed.load(Ordering::SeqCst);
-        let journaling = self.journal_attached.load(Ordering::Acquire);
+        let journal = self.journal.lock().clone();
         let mut results: Vec<Option<(CommandOutcome, Vec<OutboundEvent>)>> = Vec::new();
         results.resize_with(n, || None);
         let mut entries: Vec<(u64, u64, Command)> = Vec::new();
@@ -1788,11 +1568,11 @@ impl Kernel {
                 results[i] = Some((CommandOutcome::sealed_for(cmd), Vec::new()));
             }
         } else {
-            self.apply_batch(&mut batch, journaling, &mut results, &mut entries);
+            self.apply_batch(&mut batch, journal.is_some(), &mut results, &mut entries);
         }
 
         if !entries.is_empty() {
-            if let Some(journal) = self.journal.lock().as_ref() {
+            if let Some(journal) = journal {
                 if entries.len() == 1 {
                     // Uncontended drains keep the pre-combining single-record
                     // append (no batch bookkeeping on the journal side).
@@ -1821,11 +1601,9 @@ impl Kernel {
         }
     }
 
-    /// Applies a drained batch in commit order. Contiguous runs of
-    /// lane-eligible flow-mod calls fan out across the single-writer switch
-    /// lanes; everything else applies serially via `apply_command`. Each
-    /// entry's journal tuple captures `audit.seen()` immediately after its
-    /// own audit records land, keeping per-record watermarks exact.
+    /// Applies a drained batch in commit order. Each entry's journal tuple
+    /// captures `audit.seen()` immediately after its own audit records
+    /// land, keeping per-record watermarks exact.
     fn apply_batch(
         &self,
         batch: &mut [(Option<Arc<SubmitSlot>>, Option<Command>)],
@@ -1833,45 +1611,9 @@ impl Kernel {
         results: &mut [Option<(CommandOutcome, Vec<OutboundEvent>)>],
         entries: &mut Vec<(u64, u64, Command)>,
     ) {
-        let lanes = self.lanes.lock();
-        let n = batch.len();
-        let mut i = 0;
-        while i < n {
-            // Open a lane-parallel run at `i` when lanes are configured and
-            // at least two consecutive entries are eligible.
-            if let Some(pool) = lanes.as_ref() {
-                let mut plans = Vec::new();
-                let mut j = i;
-                while j < n {
-                    let cmd = batch[j].1.as_ref().expect("unapplied entry");
-                    match self.lane_plan(cmd) {
-                        Some(p) => {
-                            plans.push(p);
-                            j += 1;
-                        }
-                        None => break,
-                    }
-                }
-                if plans.len() >= 2 {
-                    let outs = self.apply_flow_run(pool, &batch[i..j], plans);
-                    for (k, out) in outs.into_iter().enumerate() {
-                        let idx = i + k;
-                        self.finish_entry(
-                            &mut batch[idx],
-                            out,
-                            journaling,
-                            &mut results[idx],
-                            entries,
-                        );
-                    }
-                    i = j;
-                    continue;
-                }
-            }
-            let cmd = batch[i].1.as_ref().expect("unapplied entry");
-            let out = self.apply_command(cmd);
-            self.finish_entry(&mut batch[i], out, journaling, &mut results[i], entries);
-            i += 1;
+        for (entry, result) in batch.iter_mut().zip(results.iter_mut()) {
+            let out = self.apply_command(entry.1.as_ref().expect("unapplied entry"));
+            self.finish_entry(entry, out, journaling, result, entries);
         }
     }
 
@@ -1895,142 +1637,6 @@ impl Kernel {
         *result = Some(out);
     }
 
-    /// Is this command eligible for the single-writer switch lanes? Only a
-    /// plain flow-mod call whose permission decision is a pure function of
-    /// the call itself (call-only plan — or checks disabled) and whose app
-    /// has no virtual topology qualifies; anything else closes the run and
-    /// applies serially. Returns the fully precomputed plan so the run
-    /// applier never re-decides.
-    fn lane_plan(&self, cmd: &Command) -> Option<FlowLanePlan> {
-        let Command::Call(call) = cmd else {
-            return None;
-        };
-        let (dpid, flow_mod) = match &call.kind {
-            ApiCallKind::InsertFlow { dpid, flow_mod }
-            | ApiCallKind::DeleteFlow { dpid, flow_mod } => (*dpid, flow_mod),
-            _ => return None,
-        };
-        if self.vtopo_for(call.app).is_some() {
-            return None;
-        }
-        let denied = if self.checks_enabled {
-            // A missing engine takes the serial path (it audits nothing);
-            // a stateful decision plan also bails — the deputy path decides
-            // those against a live tracker view.
-            let engine = self.engine_for(call.app)?;
-            let decision = engine.check_call_only(call, self.context_epoch())?;
-            match decision {
-                Decision::Denied { .. } => Some(ApiError::from_decision(decision)),
-                _ => None,
-            }
-        } else {
-            None
-        };
-        let stamped = denied.is_none().then(|| stamp_cookie(call.app, flow_mod));
-        Some(FlowLanePlan {
-            app: call.app,
-            kind_name: call.kind.name(),
-            token: call.required_token(),
-            dpid,
-            stamped,
-            denied,
-        })
-    }
-
-    /// Applies one lane-parallel run: switch mutations fan out to each
-    /// dpid's home lane (same-dpid order preserved by lane FIFO), then
-    /// ownership records, audit records, and outcomes are produced in the
-    /// run's original commit order — byte-for-byte the artifacts the serial
-    /// path would have produced, in the same per-command order. The RCU
-    /// switch views touched by the run are republished once at the end of
-    /// the group instead of per op.
-    fn apply_flow_run(
-        &self,
-        pool: &LanePool,
-        run: &[(Option<Arc<SubmitSlot>>, Option<Command>)],
-        plans: Vec<FlowLanePlan>,
-    ) -> Vec<(CommandOutcome, Vec<OutboundEvent>)> {
-        let n = plans.len();
-        self.combiner.lane_runs.fetch_add(1, Ordering::Relaxed);
-        // Phase 1: traces in commit order (decisions were precomputed —
-        // call-only plans are pure functions of the call), allowed mods
-        // dispatched to their home lanes.
-        let mut applied: Vec<Option<LaneApply>> = Vec::new();
-        applied.resize_with(n, || None);
-        let mut jobs = 0usize;
-        for (k, plan) in plans.iter().enumerate() {
-            if let Some(Command::Call(call)) = run[k].1.as_ref() {
-                self.trace_decision(call, plan.denied.is_none(), "deputy");
-            }
-            if let Some(stamped) = plan.stamped.as_ref() {
-                pool.dispatch(k, plan.dpid, stamped.clone());
-                jobs += 1;
-            }
-        }
-        self.combiner
-            .lane_jobs
-            .fetch_add(jobs as u64, Ordering::Relaxed);
-        self.combiner
-            .max_lane_run
-            .fetch_max(jobs as u64, Ordering::Relaxed);
-        // Phase 2: barrier — collect every lane result for this run.
-        pool.collect(jobs, &mut applied);
-        // Phase 3a: ownership records for successful mods, in commit order,
-        // under one tracker write acquisition (amortizing the write lock
-        // the serial path takes once per mod).
-        let any_ok = plans
-            .iter()
-            .zip(&applied)
-            .any(|(p, a)| p.stamped.is_some() && matches!(a, Some(Ok(_))));
-        if any_ok {
-            self.tracker_mut(|t| {
-                for (plan, outcome) in plans.iter().zip(&applied) {
-                    if let (Some(stamped), Some(Ok(_))) = (plan.stamped.as_ref(), outcome) {
-                        t.record_flow_mod(plan.app, plan.dpid, stamped);
-                    }
-                }
-            });
-        }
-        // Phase 3b: audits + outcomes in commit order. The per-command
-        // audit stream is exactly what the serial path emits.
-        let mut outs = Vec::with_capacity(n);
-        let mut touched: Vec<DatapathId> = Vec::new();
-        for (plan, outcome) in plans.into_iter().zip(applied) {
-            if let Some(denied) = plan.denied {
-                self.record_audit(plan.app, plan.kind_name, plan.token, AuditOutcome::Denied);
-                outs.push((CommandOutcome::Api(Err(denied)), Vec::new()));
-                continue;
-            }
-            match outcome.expect("allowed plan was dispatched") {
-                Ok(removed) => {
-                    touched.push(plan.dpid);
-                    self.record_audit(plan.app, plan.kind_name, plan.token, AuditOutcome::Allowed);
-                    outs.push((
-                        CommandOutcome::Api(Ok(ApiResponse::Unit)),
-                        removed_events(plan.dpid, &removed),
-                    ));
-                }
-                Err(e) => {
-                    self.record_audit(plan.app, plan.kind_name, plan.token, AuditOutcome::Failed);
-                    outs.push((CommandOutcome::Api(Err(ApiError::Switch(e))), Vec::new()));
-                }
-            }
-        }
-        // Batched RCU republish: one view rebuild per touched switch per
-        // drained group, so trailing readers don't each pay the rebuild.
-        touched.sort_unstable();
-        touched.dedup();
-        self.network.publish_views(touched);
-        outs
-    }
-
-    /// Configures the single-writer switch lanes (0 disables them). `pin`
-    /// additionally pins each lane thread to a core, best-effort.
-    pub fn set_switch_lanes(&self, lanes: usize, pin: bool) {
-        let pool = (lanes > 0).then(|| LanePool::new(Arc::clone(&self.network), lanes, pin));
-        *self.lanes.lock() = pool;
-    }
-
     /// Snapshot of the group-commit write pipeline's counters.
     pub fn combiner_stats(&self) -> CombinerStats {
         let c = &self.combiner;
@@ -2047,16 +1653,13 @@ impl Kernel {
             max_batch: c.max_batch.load(Ordering::Relaxed),
             ring_depth: self.submit_ring.len(),
             ring_capacity: self.submit_ring.capacity(),
-            lane_jobs: c.lane_jobs.load(Ordering::Relaxed),
-            lane_runs: c.lane_runs.load(Ordering::Relaxed),
-            max_lane_run: c.max_lane_run.load(Ordering::Relaxed),
-            lanes: self.lanes.lock().as_ref().map_or(0, LanePool::lane_count),
         }
     }
 
-    /// Dispatches a command to its (unjournaled) handler. Pure function of
-    /// kernel state plus the command: no wall clock, no randomness — the
-    /// determinism the whole recovery story rests on.
+    /// Applies one command to kernel state. Pure function of kernel state
+    /// plus the command: no wall clock, no randomness — the determinism the
+    /// whole recovery story rests on. Only the combiner (under the commit
+    /// lock) and journal replay call this.
     fn apply_command(&self, cmd: &Command) -> (CommandOutcome, Vec<OutboundEvent>) {
         match cmd {
             Command::RegisterApp {
@@ -2072,18 +1675,18 @@ impl Kernel {
                         let lint = self
                             .lint_on_register
                             .load(std::sync::atomic::Ordering::SeqCst);
-                        self.register_app_unjournaled(*app, name, &set, manifest, lint)
+                        self.install_app(*app, name, &set, manifest, lint)
                     }
                     Err(e) => Err(ApiError::ManifestRejected(e.to_string())),
                 };
                 (CommandOutcome::Ack(result), Vec::new())
             }
             Command::DeregisterApp { app } => {
-                let events = self.deregister_app_unjournaled(*app);
+                let events = self.uninstall_app(*app);
                 (CommandOutcome::Ack(Ok(())), events)
             }
             Command::Call(call) => {
-                let (result, events) = self.execute_unjournaled(call);
+                let (result, events) = self.mediate(call);
                 (CommandOutcome::Api(result), events)
             }
             Command::Transaction { app, ops } => {
@@ -2095,31 +1698,64 @@ impl Kernel {
                 (CommandOutcome::Api(result), events)
             }
             Command::PacketOuts { app, outs } => {
-                let (result, events) = self.execute_packet_outs_unjournaled(*app, outs);
+                let (result, events) = self.mediate_packet_outs(*app, outs);
                 (CommandOutcome::Count(result), events)
             }
             Command::HostSend { app, conn, data } => {
-                let result = self.host_send_unjournaled(*app, ConnId(*conn), data.clone());
+                let result = self.mediate_host_send(*app, ConnId(*conn), data.clone());
                 (CommandOutcome::Ack(result), Vec::new())
             }
             Command::SubscribeTopic { app, topic } => {
-                self.subscribe_topic_unjournaled(*app, topic);
+                let mut subs = self.subs_write();
+                let subs = subs.custom.entry(topic.clone()).or_default();
+                if !subs.contains(app) {
+                    subs.push(*app);
+                }
                 (CommandOutcome::Ack(Ok(())), Vec::new())
             }
             Command::AdvanceClock { secs } => (
                 CommandOutcome::Ack(Ok(())),
-                self.advance_clock_unjournaled(*secs),
+                self.record_removals(self.network.advance_clock(*secs)),
             ),
-            Command::FailLink { a, b } => {
-                let ev = self.fail_link_unjournaled(*a, *b);
-                (CommandOutcome::Ack(Ok(())), ev.into_iter().collect())
+            Command::ReapSwitch { dpid } => {
+                // Unknown switches have nothing to reap.
+                let removed = self
+                    .network
+                    .apply_flow_mod(*dpid, &FlowMod::delete(FlowMatch::any()))
+                    .unwrap_or_default()
+                    .into_iter()
+                    .map(|removed| RemovedFlow {
+                        dpid: *dpid,
+                        removed,
+                    })
+                    .collect();
+                (CommandOutcome::Ack(Ok(())), self.record_removals(removed))
             }
-            Command::InjectHostFrame { frame } => (
-                CommandOutcome::Ack(Ok(())),
-                self.inject_host_frame_unjournaled(frame.clone()),
-            ),
+            Command::FailLink { a, b } => {
+                let events = if self.network.with_topology_mut(|t| t.remove_link(*a, *b)) {
+                    vec![OutboundEvent {
+                        event: Event::TopologyChanged {
+                            description: format!("link {a} <-> {b} failed"),
+                        },
+                    }]
+                } else {
+                    Vec::new()
+                };
+                (CommandOutcome::Ack(Ok(())), events)
+            }
+            Command::InjectHostFrame { frame } => {
+                let events = match self.network.inject_from_host(frame.clone()) {
+                    Ok(deliveries) => self.absorb_deliveries(deliveries),
+                    Err(_) => Vec::new(),
+                };
+                (CommandOutcome::Ack(Ok(())), events)
+            }
             Command::RecordPktIns { grants } => {
-                self.record_pkt_ins_unjournaled(grants);
+                self.tracker_mut(|tracker| {
+                    for (app, payload) in grants {
+                        tracker.record_pkt_in(*app, payload);
+                    }
+                });
                 (CommandOutcome::Ack(Ok(())), Vec::new())
             }
         }
@@ -2274,7 +1910,7 @@ impl Kernel {
         // the crash.
         for (app, name, text) in &snapshot.apps {
             if let Ok(set) = sdnshield_core::lang::parse_manifest(text) {
-                let _ = kernel.register_app_unjournaled(*app, name, &set, text, false);
+                let _ = kernel.install_app(*app, name, &set, text, false);
             }
         }
         kernel

@@ -36,7 +36,7 @@
 //! reactor sends an ECHO_REQUEST with an opaque payload; a peer that fails
 //! to echo it (xid and payload verbatim) within `echo_timeout` ticks is
 //! declared dead, its egress deregistered, and its flows reaped through the
-//! network's existing delete path.
+//! kernel's write path ([`ShieldedController::reap_switch`]).
 
 use std::collections::BTreeSet;
 use std::io::{self, ErrorKind};
@@ -53,7 +53,6 @@ use sdnshield_openflow::messages::{FlowMod, OfBody, PacketIn, PacketOut};
 use sdnshield_openflow::southbound::{StreamDecoder, WriteRing};
 use sdnshield_openflow::types::{DatapathId, Xid};
 use sdnshield_openflow::wire::msg_type;
-use sdnshield_openflow::FlowMatch;
 
 use crate::isolation::ShieldedController;
 
@@ -558,12 +557,10 @@ impl Reactor {
         self.stats.closed.fetch_add(1, Ordering::Relaxed);
         if let Some(dpid) = conn.dpid {
             self.claimed.remove(&dpid);
-            self.network(|n| {
-                n.deregister_wire_egress(dpid);
-                // Reap after deregistration so the delete is not mirrored
-                // back onto the (dead) wire.
-                let _ = n.apply_flow_mod(dpid, &FlowMod::delete(FlowMatch::any()));
-            });
+            self.network(|n| n.deregister_wire_egress(dpid));
+            // Reap after deregistration so the delete is not mirrored back
+            // onto the (dead) wire.
+            self.controller.reap_switch(dpid);
         }
         let _ = conn.stream.shutdown(Shutdown::Both);
     }

@@ -320,8 +320,7 @@ fn promote_preserves_audit_trail_across_failover() {
 }
 
 /// The same exactly-once audit discipline, re-proved on the group-commit
-/// write pipeline (DESIGN.md §16): a journaled kernel with single-writer
-/// switch lanes forced on. The combiner audits each batched command in
+/// write pipeline (DESIGN.md §16) of a journaled kernel. The combiner audits each batched command in
 /// commit order with per-record watermarks, so a concurrent storm must
 /// still leave one gap-free record per executed call — forensics cannot
 /// tell a combined command from a serially-submitted one.
@@ -336,7 +335,6 @@ fn group_commit_storm_audits_every_call_exactly_once() {
     ));
     let journal = Arc::new(Journal::in_memory());
     kernel.attach_journal(Arc::clone(&journal));
-    kernel.set_switch_lanes(2, false);
     let apps: Vec<AppId> = (1..=THREADS as u16).map(AppId).collect();
     for app in &apps {
         kernel

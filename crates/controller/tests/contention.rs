@@ -10,7 +10,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sdnshield_controller::app::{App, AppCtx};
+use sdnshield_controller::audit::AuditOutcome;
 use sdnshield_controller::events::Event;
 use sdnshield_controller::isolation::{ControllerConfig, ShieldedController};
 use sdnshield_controller::journal::Journal;
@@ -200,6 +203,59 @@ impl App for Inserter {
     }
 }
 
+/// One write path makes rule quotas exact: a write's permission check and
+/// its apply run under the same commit lock, so threads racing one app's
+/// last quota slots can never overshoot it, even on a kernel with no
+/// journal. Seeded: every round draws fresh, distinct matches per thread.
+#[test]
+fn rule_quota_is_exact_under_a_racing_storm() {
+    const QUOTA: usize = 5;
+    const ROUNDS: usize = 50;
+    const PER_THREAD: usize = 3;
+
+    let kernel = Kernel::new(Network::new(builders::linear(2), 1_000_000), true);
+    let app = AppId(1);
+    let manifest =
+        parse_manifest(&format!("PERM insert_flow LIMITING MAX_RULE_COUNT {QUOTA}")).unwrap();
+    kernel.register_app(app, "quota", &manifest).unwrap();
+    let dpid = DatapathId(1);
+    let mut rng = StdRng::seed_from_u64(0x5eed_0013);
+    for round in 0..ROUNDS {
+        let cursor = kernel.audit_records_since(0).last().map_or(0, |r| r.seq);
+        // Call (t, i) owns the tp block `(t * PER_THREAD + i) * 64`, so every
+        // match in the round is distinct.
+        let plans: Vec<Vec<u16>> = (0..THREADS)
+            .map(|t| {
+                (0..PER_THREAD)
+                    .map(|i| ((t * PER_THREAD + i) * 64) as u16 + rng.gen_range(1..64u16))
+                    .collect()
+            })
+            .collect();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for tps in &plans {
+                let (kernel, start) = (&kernel, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for &tp in tps {
+                        let _ = kernel.execute(&insert(app, dpid, tp));
+                    }
+                });
+            }
+        });
+        assert_eq!(kernel.flow_count(dpid), QUOTA, "round {round}: flows");
+        let allowed = kernel
+            .audit_records_since(cursor)
+            .iter()
+            .filter(|r| r.operation == "insert_flow" && r.outcome == AuditOutcome::Allowed)
+            .count();
+        assert_eq!(allowed, QUOTA, "round {round}: allowed insert audits");
+        // Free the quota for the next round.
+        kernel.reap_switch(dpid);
+        assert_eq!(kernel.flow_count(dpid), 0);
+    }
+}
+
 fn end_to_end_throughput(deputies: usize, events: usize) -> f64 {
     let c = ShieldedController::new_with_config(
         Network::new(builders::linear(4), 1_000_000),
@@ -336,9 +392,9 @@ fn mixed_throughput(
     (deputies * calls) as f64 / t.elapsed().as_secs_f64()
 }
 
-/// Builds the journaled, lane-enabled kernel the tier-2 mixed gate runs
-/// against: writes go through the flat-combining group commit with batched
-/// journal appends and single-writer switch lanes (DESIGN.md §16).
+/// Builds the journaled kernel the tier-2 mixed gate runs against: writes
+/// go through the flat-combining group commit with batched journal appends
+/// (DESIGN.md §16).
 fn group_commit_kernel() -> (Arc<Kernel>, Vec<AppId>, Arc<Journal>) {
     // Switch 1 is shared; switches 2..=5 are the four deputies' own.
     let kernel = Arc::new(Kernel::new(
@@ -347,7 +403,6 @@ fn group_commit_kernel() -> (Arc<Kernel>, Vec<AppId>, Arc<Journal>) {
     ));
     let journal = Arc::new(Journal::in_memory());
     kernel.attach_journal(Arc::clone(&journal));
-    kernel.set_switch_lanes(4, false);
     let manifest = parse_manifest(
         "PERM insert_flow\nPERM delete_flow\nPERM read_flow_table\nPERM read_statistics",
     )
@@ -364,7 +419,7 @@ fn group_commit_kernel() -> (Arc<Kernel>, Vec<AppId>, Arc<Journal>) {
 /// Tier-2 companion to [`four_deputies_beat_one_by_1_5x`] for the *mixed*
 /// read/write workload, measured on the production write pipeline: a
 /// journaled kernel whose contended submits run the flat-combining group
-/// commit (batched journal appends, single-writer switch lanes) while the
+/// commit (batched journal appends) while the
 /// 3-in-8 read calls ride the lock-free RCU fast lane. This is the fig9
 /// `group_commit` series, and it must scale ≥1.5× from 1 to 4 deputies.
 /// Ignored by default — single-core CI cannot exhibit scaling.

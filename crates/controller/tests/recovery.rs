@@ -303,6 +303,34 @@ fn snapshot_plus_suffix_replay_matches_live() {
     assert_eq!(recovered.last_applied(), journal.last_seq());
 }
 
+/// A dead switch's reap is a journaled command: replaying a journal that
+/// holds one reproduces the live kernel, flow tables and ownership tracker
+/// included, so a promoted standby does not resurrect the reaped flows.
+#[test]
+fn reap_switch_replays_to_live_state() {
+    let (live, journal) = journaled_kernel();
+    for tp in 1..=4 {
+        live.execute(&insert_call(PRIV, tp, 100, 0, 1)).0.unwrap();
+    }
+    live.execute(&insert_call(PRIV, 9, 100, 0, 2)).0.unwrap();
+    let events = live.reap_switch(DatapathId(1));
+    assert_eq!(events.len(), 4, "one flow-removed event per reaped flow");
+    assert_eq!(live.flow_count(DatapathId(1)), 0);
+    assert_eq!(
+        live.flow_count(DatapathId(2)),
+        1,
+        "other switches untouched"
+    );
+
+    let empty_snap = Kernel::new(net(), true).snapshot();
+    let recovered = Kernel::recover(net(), &empty_snap, &journal);
+    assert!(
+        recovered.snapshot().state_eq(&live.snapshot()),
+        "replay after a reap must equal the live kernel"
+    );
+    assert_eq!(recovered.flow_count(DatapathId(1)), 0);
+}
+
 #[test]
 fn file_backed_journal_survives_restart_roundtrip() {
     let path = unique_journal_path("roundtrip");
@@ -424,7 +452,7 @@ fn corrupt_crc_truncates_at_the_corrupt_record() {
 }
 
 #[test]
-fn crash_between_apply_and_append_loses_only_the_unjournaled_suffix() {
+fn crash_between_apply_and_append_loses_only_the_unlogged_suffix() {
     let faults = JournalFaults {
         crash_before_append_on_record: Some(5),
         ..JournalFaults::default()
@@ -677,8 +705,7 @@ fn promote_loses_no_acknowledged_commands_under_concurrent_submitters() {
 
 // ---------------------------------------------------------------------------
 // Group-commit write pipeline (DESIGN.md §16): the flat-combining submit
-// path with single-writer switch lanes must keep every recovery guarantee
-// the serial path had — the journal a concurrent storm leaves behind is a
+// path must keep every recovery guarantee the serial path had — the journal a concurrent storm leaves behind is a
 // linearization of that storm, and replaying it reproduces the live kernel.
 // ---------------------------------------------------------------------------
 
@@ -691,8 +718,8 @@ fn assert_dense_seqs(journal: &Journal) {
     }
 }
 
-/// 8 submitters storm a journaled, lane-enabled kernel until the combiner
-/// has demonstrably exercised the lane pool (multi-entry drains are
+/// 8 submitters storm a journaled kernel until the combiner has
+/// demonstrably drained a multi-entry batch (batch formation is
 /// scheduling-dependent, so the storm repeats — bounded — until one lands).
 /// Whatever interleaving the scheduler produced, the journal must be a
 /// linearization: dense seqs, one record per acknowledged command, and a
@@ -704,7 +731,6 @@ fn group_commit_journal_is_a_linearization_of_the_storm() {
     const MAX_ROUNDS: u64 = 5;
 
     let (live, journal) = journaled_kernel();
-    live.set_switch_lanes(2, false);
 
     let mut rounds = 0;
     while rounds < MAX_ROUNDS {
@@ -723,16 +749,15 @@ fn group_commit_journal_is_a_linearization_of_the_storm() {
             }
         });
         rounds += 1;
-        if live.combiner_stats().lane_runs > 0 {
+        if live.combiner_stats().max_batch >= 2 {
             break;
         }
     }
 
     let stats = live.combiner_stats();
     assert!(
-        stats.lane_runs > 0,
-        "no multi-entry drain engaged the lane pool in {MAX_ROUNDS} rounds \
-         of {} contended submits each",
+        stats.max_batch >= 2,
+        "no multi-entry drain in {MAX_ROUNDS} rounds of {} contended submits each",
         THREADS * PER_THREAD
     );
     // 2 journaled registrations + every acknowledged insert, exactly once.
@@ -789,8 +814,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Differential group-commit property: for arbitrary concurrent command
-    /// traces — four threads, each with its own generated op list, lanes
-    /// forced on — the batch-framed journal the storm leaves behind replays
+    /// traces — four threads, each with its own generated op list — the
+    /// batch-framed journal the storm leaves behind replays
     /// to a kernel state-equal to the live one, with a dense record per
     /// submitted command. Whatever order the combiner chose, it committed,
     /// journaled, and acknowledged the *same* history.
@@ -802,7 +827,6 @@ proptest! {
         ),
     ) {
         let (live, journal) = journaled_kernel();
-        live.set_switch_lanes(2, false);
         let total_ops: usize = traces.iter().map(Vec::len).sum();
         std::thread::scope(|s| {
             for (t, trace) in traces.iter().enumerate() {
@@ -825,23 +849,18 @@ proptest! {
     }
 }
 
-/// The promote-mid-storm ack guarantee, re-proved with the group-commit
-/// pipeline fully enabled on both the primary and the promoted kernel
-/// (`switch_lanes` in the controller config): sealing the old primary makes
-/// its combiner refuse whole batches *after* fulfilling every parked
-/// submitter, so no acknowledged command can be lost in the failover.
+/// The promote-mid-storm ack guarantee on the shipped controller
+/// configuration: sealing the old primary makes its combiner refuse whole
+/// batches *after* fulfilling every parked submitter, so no acknowledged
+/// command can be lost in the failover, and the journal stays dense.
 #[test]
-fn promote_with_lanes_loses_no_acknowledged_commands() {
+fn promote_on_default_config_loses_no_acknowledged_commands() {
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 100;
 
     let c = ShieldedController::new_with_config(
         Network::new(builders::linear(2), 16_384),
-        ControllerConfig {
-            num_deputies: 2,
-            switch_lanes: 2,
-            ..ControllerConfig::default()
-        },
+        ControllerConfig::default(),
     );
     let journal = Arc::new(Journal::in_memory());
     c.attach_journal(Arc::clone(&journal));

@@ -304,27 +304,6 @@ impl Network {
         }
     }
 
-    /// Republishes the RCU view of each listed switch if it is stale — the
-    /// group-commit combiner calls this once per drained batch (ascending,
-    /// deduplicated dpids) so readers trailing a write burst find a fresh
-    /// published view instead of each racing to rebuild one under
-    /// `try_lock`. Unknown dpids are ignored; fresh views cost one atomic
-    /// load.
-    pub fn publish_views(&self, dpids: impl IntoIterator<Item = DatapathId>) {
-        for dpid in dpids {
-            let Some(shard) = self.switches.get(&dpid) else {
-                continue;
-            };
-            if shard.view.load_full().version == shard.version.load(Ordering::Acquire) {
-                continue;
-            }
-            let sw = shard.sw.lock();
-            // Exact under the lock: no writer can bump concurrently.
-            let v = shard.version.load(Ordering::Acquire);
-            shard.view.store(Arc::new(sw.view(v)));
-        }
-    }
-
     /// Current virtual time in seconds.
     pub fn now(&self) -> u64 {
         self.clock.load(Ordering::SeqCst)

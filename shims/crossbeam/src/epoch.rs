@@ -248,6 +248,15 @@ mod tests {
         }
     }
 
+    /// Every test here pins or stores on the process-global epoch, and a
+    /// sibling test's pin blocks this test's reclamation; each test holds
+    /// this lock for its whole body so the drop counts stay exact.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        lock(&SERIAL)
+    }
+
     fn counted(v: u64, drops: &Arc<AtomicUsize>) -> Arc<Counted> {
         Arc::new(Counted {
             a: v,
@@ -258,6 +267,7 @@ mod tests {
 
     #[test]
     fn store_then_load_sees_new_value() {
+        let _serial = serial();
         let drops = Arc::new(AtomicUsize::new(0));
         let cell = RcuCell::new(counted(1, &drops));
         cell.store(counted(2, &drops));
@@ -269,6 +279,7 @@ mod tests {
 
     #[test]
     fn unpinned_retirees_are_reclaimed() {
+        let _serial = serial();
         let drops = Arc::new(AtomicUsize::new(0));
         let cell = RcuCell::new(counted(0, &drops));
         for i in 1..=10 {
@@ -284,6 +295,7 @@ mod tests {
 
     #[test]
     fn pinned_reader_blocks_reclamation() {
+        let _serial = serial();
         let drops = Arc::new(AtomicUsize::new(0));
         let cell = RcuCell::new(counted(1, &drops));
         let g = pin();
@@ -300,6 +312,7 @@ mod tests {
 
     #[test]
     fn nested_pins_share_the_outer_epoch() {
+        let _serial = serial();
         let cell = RcuCell::new(Arc::new(7u64));
         let outer = pin();
         let inner = pin();
@@ -312,6 +325,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_never_observe_torn_snapshots() {
+        let _serial = serial();
         let drops = Arc::new(AtomicUsize::new(0));
         let cell = Arc::new(RcuCell::new(counted(0, &drops)));
         let stop = Arc::new(AtomicU64::new(0));
@@ -356,6 +370,7 @@ mod tests {
 
     #[test]
     fn participants_are_recycled_across_threads() {
+        let _serial = serial();
         for _ in 0..64 {
             thread::spawn(|| {
                 let g = pin();

@@ -105,18 +105,28 @@ fn handshaken_raw_conn(
         )
         .unwrap();
     let mut reactor = Reactor::bind("127.0.0.1:0", Arc::clone(&controller), config).unwrap();
-    let addr = reactor.local_addr();
+    let mut tick = 0u64;
+    let (stream, dec) = handshake_switch_1(&mut reactor, &mut tick);
+    assert_eq!(
+        controller.kernel().with_network(|n| n.wire_egress_count()),
+        1
+    );
+    (controller, reactor, tick, stream, dec)
+}
 
-    let mut stream = TcpStream::connect(addr).unwrap();
+/// Connects a raw socket to the hand-polled reactor and completes the
+/// HELLO/FEATURES handshake as datapath 1.
+fn handshake_switch_1(reactor: &mut Reactor, tick: &mut u64) -> (TcpStream, StreamDecoder) {
+    let handshakes = reactor.stats().handshakes;
+    let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
     stream.set_nonblocking(true).unwrap();
     let mut dec = StreamDecoder::new();
-    let mut tick = 0u64;
 
     send_raw(&mut stream, 1, &OfBody::Hello);
     // The reactor greets with its own HELLO before the FEATURES_REQUEST.
     let xid = loop {
-        let (ty, xid, _) = pump_until_frame(&mut reactor, &mut tick, &mut stream, &mut dec, 1000)
+        let (ty, xid, _) = pump_until_frame(reactor, tick, &mut stream, &mut dec, 1000)
             .expect("server FEATURES_REQUEST");
         if ty == msg_type::FEATURES_REQUEST {
             break xid;
@@ -134,18 +144,18 @@ fn handshaken_raw_conn(
     );
     // Let the reactor ingest the reply and register the wire egress.
     for _ in 0..50 {
-        tick += 1;
-        reactor.poll_once(tick);
-        if reactor.stats().handshakes == 1 {
+        *tick += 1;
+        reactor.poll_once(*tick);
+        if reactor.stats().handshakes > handshakes {
             break;
         }
     }
-    assert_eq!(reactor.stats().handshakes, 1, "handshake must complete");
     assert_eq!(
-        controller.kernel().with_network(|n| n.wire_egress_count()),
-        1
+        reactor.stats().handshakes,
+        handshakes + 1,
+        "handshake must complete"
     );
-    (controller, reactor, tick, stream, dec)
+    (stream, dec)
 }
 
 /// Socket PACKET_INs must cross the same mediation seams as in-process
@@ -274,6 +284,77 @@ fn echo_liveness_timeout_reaps_connection_and_flows() {
         0,
         "flows must be reaped"
     );
+
+    reactor.close_all();
+    controller.shutdown();
+}
+
+/// A dead switch's flows are reaped through the kernel's write path, so the
+/// ownership tracker forgets them: an app that filled its rule quota on the
+/// switch gets the whole quota back when the switch reconnects.
+#[test]
+fn dead_switch_reap_restores_rule_quota_on_reconnect() {
+    use sdnshield::controller::kernel::Kernel;
+    use sdnshield::core::api::{ApiCall, ApiCallKind, AppId};
+    use sdnshield::core::parse_manifest;
+    use sdnshield::openflow::actions::ActionList;
+    use sdnshield::openflow::flow_match::FlowMatch;
+    use sdnshield::openflow::messages::FlowMod;
+    use sdnshield::openflow::types::Priority;
+
+    let (controller, mut reactor, mut tick, stream, _dec) =
+        handshaken_raw_conn(SouthboundConfig::default());
+    let dpid = DatapathId(1);
+    let app = AppId(200);
+    controller
+        .kernel()
+        .register_app(
+            app,
+            "quota-app",
+            &parse_manifest("PERM insert_flow LIMITING MAX_RULE_COUNT 2").unwrap(),
+        )
+        .unwrap();
+    let insert = |kernel: &Kernel, tp: u16| {
+        let call = ApiCall::new(
+            app,
+            ApiCallKind::InsertFlow {
+                dpid,
+                flow_mod: FlowMod::add(
+                    FlowMatch::default().with_tp_dst(tp),
+                    Priority(10),
+                    ActionList::output(PortNo(2)),
+                ),
+            },
+        );
+        kernel.execute(&call).0
+    };
+    let fill_quota = |base: u16| {
+        let kernel = controller.kernel();
+        insert(&kernel, base).expect("first rule within quota");
+        insert(&kernel, base + 1).expect("second rule within quota");
+        assert!(
+            insert(&kernel, base + 2).unwrap_err().is_denied(),
+            "a third rule exceeds MAX_RULE_COUNT 2"
+        );
+        assert_eq!(kernel.flow_count(dpid), 2);
+    };
+    fill_quota(80);
+
+    // The switch dies (peer closes its socket) and is reaped.
+    drop(stream);
+    for _ in 0..200 {
+        tick += 1;
+        reactor.poll_once(tick);
+        if reactor.connections() == 0 {
+            break;
+        }
+    }
+    assert_eq!(reactor.connections(), 0, "dead switch must be reaped");
+    assert_eq!(controller.kernel().flow_count(dpid), 0, "flows reaped");
+
+    // It reconnects with an empty table, and the app's quota is whole again.
+    let (_stream, _dec) = handshake_switch_1(&mut reactor, &mut tick);
+    fill_quota(90);
 
     reactor.close_all();
     controller.shutdown();
