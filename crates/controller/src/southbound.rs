@@ -4,14 +4,23 @@
 //! # Reactor model
 //!
 //! One thread owns a nonblocking [`TcpListener`] and every connection, and
-//! drives them with a readiness *sweep*: each [`Reactor::poll_once`] call
-//! accepts pending connections, then for every connection flushes queued
-//! egress bytes, reads until `WouldBlock`, decodes complete frames from the
+//! drives them with a *sweep*: each [`Reactor::poll_once`] call accepts
+//! pending connections, then for every connection flushes queued egress
+//! bytes, reads until `WouldBlock`, decodes complete frames from the
 //! reusable stream buffer, and finally runs the liveness/timeout pass. The
-//! sweep is std-only (the offline build has no `mio`/`epoll` binding);
-//! nonblocking sockets plus a short idle sleep approximate readiness
-//! notification with bounded latency, and the explicit `poll_once(tick)`
-//! entry point keeps the whole state machine deterministic under test.
+//! explicit `poll_once(tick)` entry point keeps the whole state machine
+//! deterministic under test.
+//!
+//! Between sweeps that found nothing to do, [`Reactor::wait`] parks the
+//! thread in a readiness wait ([`polling::Poller`]) on the listener, every
+//! connection (readable, plus writable while its write ring holds bytes, so
+//! a slow peer parks the reactor instead of spinning it) and a doorbell.
+//! Deputy threads queue egress from outside the reactor, so they ring the
+//! doorbell after a push while the reactor is parked. The lost-wakeup
+//! protocol: the reactor sets `parked` (SeqCst) *before* it re-checks the
+//! rings while arming the wait, and an egress push does `parked.swap(false)`
+//! after the push and only then notifies. Either the re-check sees the push
+//! or the swap sees `parked` and wakes the wait.
 //!
 //! # Per-connection state machine
 //!
@@ -36,7 +45,9 @@
 //! reactor sends an ECHO_REQUEST with an opaque payload; a peer that fails
 //! to echo it (xid and payload verbatim) within `echo_timeout` ticks is
 //! declared dead, its egress deregistered, and its flows reaped through the
-//! kernel's write path ([`ShieldedController::reap_switch`]).
+//! kernel's write path ([`ShieldedController::reap_switch`]). Ticks are
+//! wall-clock in [`spawn_southbound`] (one per [`TICK`] since start), so
+//! the timeouts mean the same however often the reactor sweeps.
 
 use std::collections::BTreeSet;
 use std::io::{self, ErrorKind};
@@ -44,10 +55,11 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
+use polling::{Event, Poller};
 use sdnshield_netsim::network::{Network, WireEgress};
 use sdnshield_openflow::messages::{FlowMod, OfBody, PacketIn, PacketOut};
 use sdnshield_openflow::southbound::{StreamDecoder, WriteRing};
@@ -59,6 +71,14 @@ use crate::isolation::ShieldedController;
 /// Opaque payload carried by reactor-initiated ECHO_REQUESTs. The reply
 /// must return it verbatim; anything else fails the liveness check.
 pub const LIVENESS_PAYLOAD: &[u8] = b"sdnshield-liveness\x00\xa5";
+
+/// Wall-clock length of one liveness tick in [`spawn_southbound`], and the
+/// backstop timeout of its readiness wait (so ticks advance on an idle
+/// server).
+pub const TICK: Duration = Duration::from_micros(200);
+
+/// Poller key of the listener; connections use their index in the sweep.
+const LISTENER_KEY: usize = usize::MAX;
 
 /// Tuning knobs for the southbound reactor.
 #[derive(Debug, Clone)]
@@ -149,6 +169,24 @@ impl StatsInner {
     }
 }
 
+/// Wakes a parked reactor when another thread queues egress.
+struct Doorbell {
+    poller: Poller,
+    /// Set by the reactor before it re-checks the rings and waits; cleared
+    /// by whoever wakes it.
+    parked: AtomicBool,
+}
+
+impl Doorbell {
+    /// Called after a push: notifies only if the reactor may have missed it.
+    fn ring(&self) {
+        if self.parked.swap(false, Ordering::SeqCst) {
+            // If the write fails the wait still ends at its timeout.
+            let _ = self.poller.notify();
+        }
+    }
+}
+
 /// The egress half of one wire-attached switch: mediated controller→switch
 /// messages are encoded into the connection's bounded write ring from
 /// whichever deputy thread executed the call; the reactor thread flushes.
@@ -156,6 +194,7 @@ struct ConnEgress {
     ring: Arc<Mutex<WriteRing>>,
     xid: AtomicU32,
     stats: Arc<StatsInner>,
+    doorbell: Arc<Doorbell>,
 }
 
 impl ConnEgress {
@@ -170,6 +209,7 @@ impl WireEgress for ConnEgress {
         if self.ring.lock().push_body(self.next_xid(), &body) {
             self.stats.flow_mods_tx.fetch_add(1, Ordering::Relaxed);
         }
+        self.doorbell.ring();
     }
 
     fn packet_out(&self, po: &PacketOut) {
@@ -177,6 +217,7 @@ impl WireEgress for ConnEgress {
         if self.ring.lock().push_body(self.next_xid(), &body) {
             self.stats.packet_outs_tx.fetch_add(1, Ordering::Relaxed);
         }
+        self.doorbell.ring();
     }
 }
 
@@ -222,7 +263,8 @@ impl Conn {
 ///
 /// [`spawn_southbound`] runs it on a dedicated thread; tests construct one
 /// directly with [`Reactor::bind`] and drive [`Reactor::poll_once`] with an
-/// explicit tick for deterministic liveness-timeout coverage.
+/// explicit tick for deterministic liveness-timeout coverage, parking in
+/// [`Reactor::wait`] between sweeps exactly as the thread does.
 pub struct Reactor {
     listener: TcpListener,
     local_addr: SocketAddr,
@@ -232,6 +274,8 @@ pub struct Reactor {
     claimed: BTreeSet<DatapathId>,
     stats: Arc<StatsInner>,
     batch: Vec<(DatapathId, PacketIn)>,
+    doorbell: Arc<Doorbell>,
+    events: Vec<Event>,
 }
 
 impl Reactor {
@@ -240,7 +284,7 @@ impl Reactor {
     ///
     /// # Errors
     ///
-    /// Propagates bind/configuration failures.
+    /// Propagates bind/configuration and poller setup failures.
     pub fn bind(
         addr: &str,
         controller: Arc<ShieldedController>,
@@ -249,6 +293,8 @@ impl Reactor {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let poller = Poller::new()?;
+        poller.add(&listener, Event::none(LISTENER_KEY))?;
         Ok(Reactor {
             listener,
             local_addr,
@@ -258,6 +304,11 @@ impl Reactor {
             claimed: BTreeSet::new(),
             stats: Arc::new(StatsInner::default()),
             batch: Vec::new(),
+            doorbell: Arc::new(Doorbell {
+                poller,
+                parked: AtomicBool::new(false),
+            }),
+            events: Vec::new(),
         })
     }
 
@@ -283,7 +334,7 @@ impl Reactor {
     /// One readiness sweep at virtual time `tick`: accept, per-connection
     /// flush/read/decode, batched packet-in dispatch, liveness pass, reap.
     /// Returns a progress count (frames + connections handled); `0` means
-    /// the sweep found nothing to do and the caller may sleep briefly.
+    /// the sweep found nothing to do and the caller may [`Reactor::wait`].
     pub fn poll_once(&mut self, tick: u64) -> usize {
         let mut progress = 0usize;
         loop {
@@ -304,6 +355,7 @@ impl Reactor {
                 &self.config,
                 &mut self.claimed,
                 &self.stats,
+                &self.doorbell,
                 &mut self.batch,
             );
         }
@@ -332,8 +384,53 @@ impl Reactor {
         progress
     }
 
+    /// Parks until there is work for [`Reactor::poll_once`] or `timeout`
+    /// elapses: a connection is readable (or writable while its ring holds
+    /// bytes), a connection is pending on the listener, or another thread
+    /// queued egress. Wakeups may be spurious; the caller just sweeps.
+    ///
+    /// # Errors
+    ///
+    /// Propagates poller failures.
+    pub fn wait(&mut self, timeout: Duration) -> io::Result<()> {
+        let doorbell = &*self.doorbell;
+        // Before the ring re-check below, so a push that check misses sees
+        // `parked` and rings.
+        doorbell.parked.store(true, Ordering::SeqCst);
+        let armed = self.arm();
+        let waited = armed.and_then(|()| {
+            self.events.clear();
+            doorbell.poller.wait(&mut self.events, Some(timeout))
+        });
+        doorbell.parked.store(false, Ordering::SeqCst);
+        waited.map(drop)
+    }
+
+    /// Re-arms every source for one wait (interest is oneshot).
+    fn arm(&self) -> io::Result<()> {
+        let poller = &self.doorbell.poller;
+        poller.modify(&self.listener, Event::readable(LISTENER_KEY))?;
+        for (i, conn) in self.conns.iter().enumerate() {
+            let interest = Event {
+                key: i,
+                readable: true,
+                writable: !conn.ring.lock().is_empty(),
+            };
+            poller.modify(&conn.stream, interest)?;
+        }
+        Ok(())
+    }
+
     fn accept_conn(&mut self, stream: TcpStream, tick: u64) {
         if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        if self
+            .doorbell
+            .poller
+            .add(&stream, Event::none(self.conns.len()))
+            .is_err()
+        {
             return;
         }
         let _ = stream.set_nodelay(true);
@@ -362,7 +459,7 @@ impl Reactor {
     /// Flush + read + decode for one connection. Associated function (not a
     /// method) so the caller can hold disjoint borrows of the reactor's
     /// other fields.
-    #[allow(clippy::too_many_lines)]
+    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
     fn service_conn(
         conn: &mut Conn,
         tick: u64,
@@ -370,6 +467,7 @@ impl Reactor {
         config: &SouthboundConfig,
         claimed: &mut BTreeSet<DatapathId>,
         stats: &Arc<StatsInner>,
+        doorbell: &Arc<Doorbell>,
         batch: &mut Vec<(DatapathId, PacketIn)>,
     ) -> usize {
         if conn.dead.is_some() {
@@ -439,6 +537,7 @@ impl Reactor {
                             // space; reactor-initiated xids count up from 1.
                             xid: AtomicU32::new(0x8000_0000),
                             stats: Arc::clone(stats),
+                            doorbell: Arc::clone(doorbell),
                         });
                         controller
                             .kernel()
@@ -551,8 +650,8 @@ impl Reactor {
     }
 
     /// Tears one connection down: deregister its wire egress, reap the
-    /// flows it installed through the network's existing delete path, close
-    /// the socket.
+    /// flows it installed through [`ShieldedController::reap_switch`], stop
+    /// polling and close the socket.
     fn close_conn(&mut self, conn: Conn) {
         self.stats.closed.fetch_add(1, Ordering::Relaxed);
         if let Some(dpid) = conn.dpid {
@@ -562,6 +661,7 @@ impl Reactor {
             // onto the (dead) wire.
             self.controller.reap_switch(dpid);
         }
+        let _ = self.doorbell.poller.delete(&conn.stream);
         let _ = conn.stream.shutdown(Shutdown::Both);
     }
 
@@ -621,9 +721,11 @@ impl Drop for SouthboundHandle {
 
 /// Starts the southbound server on a dedicated reactor thread.
 ///
-/// The thread sweeps connections continuously, advancing the virtual tick
-/// once per sweep and sleeping briefly only when a sweep makes no progress
-/// (so liveness ticks keep advancing on an idle server).
+/// The thread sweeps while sweeps make progress and otherwise parks in
+/// [`Reactor::wait`] with a [`TICK`] backstop timeout. The liveness tick is
+/// wall-clock (elapsed time since start in units of [`TICK`]), so
+/// `echo_interval` and `echo_timeout` keep their meaning however often the
+/// reactor sweeps.
 ///
 /// # Errors
 ///
@@ -641,12 +743,12 @@ pub fn spawn_southbound(
     let thread = thread::Builder::new()
         .name("southbound-reactor".into())
         .spawn(move || {
-            let mut tick = 0u64;
+            let start = Instant::now();
             while flag.load(Ordering::Acquire) {
-                let progress = reactor.poll_once(tick);
-                tick += 1;
-                if progress == 0 {
-                    thread::sleep(Duration::from_micros(200));
+                let tick = (start.elapsed().as_nanos() / TICK.as_nanos()) as u64;
+                if reactor.poll_once(tick) == 0 && reactor.wait(TICK).is_err() {
+                    // Poller failure: fall back to pacing by the tick.
+                    thread::sleep(TICK);
                 }
             }
             reactor.close_all();

@@ -4,18 +4,22 @@
 //! liveness with flow reaping, and tolerance of unknown message types.
 //!
 //! The liveness and tolerance tests drive `Reactor::poll_once` directly so
-//! the virtual clock is deterministic; the mediation test uses the spawned
-//! reactor thread exactly as production does.
+//! the virtual clock is deterministic, parking in `Reactor::wait` between
+//! sweeps as the reactor thread does; the mediation and wall-clock liveness
+//! tests use the spawned reactor thread exactly as production does.
 
 use std::io::Write as _;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use sdnshield::controller::audit::AuditOutcome;
-use sdnshield::controller::southbound::{Reactor, SouthboundConfig, LIVENESS_PAYLOAD};
-use sdnshield::openflow::messages::{OfBody, OfMessage, PacketIn, PacketInReason};
+use sdnshield::controller::southbound::{Reactor, SouthboundConfig, LIVENESS_PAYLOAD, TICK};
+use sdnshield::openflow::actions::ActionList;
+use sdnshield::openflow::messages::{OfBody, OfMessage, PacketIn, PacketInReason, PacketOut};
 use sdnshield::openflow::southbound::StreamDecoder;
 use sdnshield::openflow::types::{BufferId, DatapathId, PortNo, Xid};
 use sdnshield::openflow::wire::{self, msg_type, HEADER_LEN, WIRE_VERSION};
@@ -47,7 +51,9 @@ fn send_raw(stream: &mut TcpStream, xid: u32, body: &OfBody) {
     stream.write_all(&buf).expect("socket write");
 }
 
-/// Pumps `poll_once` until the decoder yields a frame or `max_ticks` pass.
+/// Pumps `poll_once` until the decoder yields a frame or `max_ticks` pass,
+/// parking in the reactor's readiness wait (with the production [`TICK`]
+/// backstop) whenever nothing has arrived yet.
 fn pump_until_frame(
     reactor: &mut Reactor,
     tick: &mut u64,
@@ -62,9 +68,9 @@ fn pump_until_frame(
         match dec.read_from(stream) {
             Ok(_) => {}
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // Nothing on the wire yet — yield so the app/deputy threads
-                // that produce the response get scheduled.
-                std::thread::sleep(Duration::from_micros(200));
+                // Nothing on the wire yet: park until the peer, a deputy's
+                // egress or the tick gives the reactor work.
+                reactor.wait(TICK).expect("reactor wait");
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => panic!("socket read: {e}"),
@@ -234,7 +240,7 @@ fn echo_liveness_timeout_reaps_connection_and_flows() {
     let (controller, mut reactor, mut tick, mut stream, mut dec) = handshaken_raw_conn(config);
 
     // Give the dead-switch-to-be a flow so the reap is observable.
-    use sdnshield::openflow::actions::{Action, ActionList};
+    use sdnshield::openflow::actions::Action;
     use sdnshield::openflow::flow_match::FlowMatch;
     use sdnshield::openflow::messages::FlowMod;
     let dpid = DatapathId(1);
@@ -297,7 +303,6 @@ fn dead_switch_reap_restores_rule_quota_on_reconnect() {
     use sdnshield::controller::kernel::Kernel;
     use sdnshield::core::api::{ApiCall, ApiCallKind, AppId};
     use sdnshield::core::parse_manifest;
-    use sdnshield::openflow::actions::ActionList;
     use sdnshield::openflow::flow_match::FlowMatch;
     use sdnshield::openflow::messages::FlowMod;
     use sdnshield::openflow::types::Priority;
@@ -398,4 +403,243 @@ fn wirebench_events_classify_responses() {
     assert!(WireEvent::FlowMod(Xid(1)).is_response());
     assert!(WireEvent::PacketOut(Xid(2)).is_response());
     assert!(!WireEvent::Other(msg_type::HELLO, Xid(3)).is_response());
+}
+
+/// Upper bound for the wake-path waits: a wakeup that is lost shows up as a
+/// wait that runs to this timeout.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Sweeps the hand-polled reactor until a sweep finds nothing to do, then
+/// consumes any pending doorbell, so the next wait blocks until something
+/// new happens.
+fn settle(reactor: &mut Reactor, tick: &mut u64) {
+    loop {
+        *tick += 1;
+        if reactor.poll_once(*tick) == 0 {
+            break;
+        }
+    }
+    reactor.wait(Duration::ZERO).expect("reactor wait");
+}
+
+/// Runs one `Reactor::wait` and returns how long it blocked.
+fn timed_wait(reactor: &mut Reactor, timeout: Duration) -> Duration {
+    let start = Instant::now();
+    reactor.wait(timeout).expect("reactor wait");
+    start.elapsed()
+}
+
+/// An idle reactor parks for the whole timeout, and a frame from a peer
+/// wakes it at once.
+#[test]
+fn reactor_wait_wakes_on_peer_frame() {
+    let (controller, mut reactor, mut tick, mut stream, mut dec) =
+        handshaken_raw_conn(SouthboundConfig::default());
+    settle(&mut reactor, &mut tick);
+    let idle = Duration::from_millis(50);
+    assert!(
+        timed_wait(&mut reactor, idle) >= idle,
+        "an idle reactor must park, not spin"
+    );
+
+    send_raw(
+        &mut stream,
+        9,
+        &OfBody::EchoRequest(Bytes::from_static(b"wake")),
+    );
+    let waited = timed_wait(&mut reactor, WAKE_TIMEOUT);
+    assert!(waited < Duration::from_secs(1), "woke after {waited:?}");
+    let (ty, xid, _) =
+        pump_until_frame(&mut reactor, &mut tick, &mut stream, &mut dec, 1000).expect("echo reply");
+    assert_eq!((ty, xid), (msg_type::ECHO_REPLY, Xid(9)));
+
+    reactor.close_all();
+    controller.shutdown();
+}
+
+/// A connection pending on the listener wakes the parked reactor.
+#[test]
+fn reactor_wait_wakes_on_new_connection() {
+    let (controller, mut reactor, mut tick, _stream, _dec) =
+        handshaken_raw_conn(SouthboundConfig::default());
+    settle(&mut reactor, &mut tick);
+
+    let _second = TcpStream::connect(reactor.local_addr()).unwrap();
+    let waited = timed_wait(&mut reactor, WAKE_TIMEOUT);
+    assert!(waited < Duration::from_secs(1), "woke after {waited:?}");
+    tick += 1;
+    reactor.poll_once(tick);
+    assert_eq!(reactor.connections(), 2);
+
+    reactor.close_all();
+    controller.shutdown();
+}
+
+/// A PACKET_OUT a deputy thread queues for a handshaken switch rings the
+/// doorbell of the parked reactor.
+#[test]
+fn reactor_wait_wakes_on_deputy_packet_out() {
+    let (controller, mut reactor, mut tick, mut stream, mut dec) =
+        handshaken_raw_conn(SouthboundConfig::default());
+    settle(&mut reactor, &mut tick);
+
+    controller.deliver_packet_in_batch(vec![(DatapathId(1), arp_packet_in())]);
+    let waited = timed_wait(&mut reactor, WAKE_TIMEOUT);
+    assert!(waited < Duration::from_secs(1), "woke after {waited:?}");
+    let (ty, _, _) = pump_until_frame(&mut reactor, &mut tick, &mut stream, &mut dec, 1000)
+        .expect("mediated PACKET_OUT");
+    assert_eq!(ty, msg_type::PACKET_OUT);
+
+    reactor.close_all();
+    controller.shutdown();
+}
+
+/// Lost-wakeup check: an egress push from another thread races the
+/// reactor's park for many rounds, the park staggered so the push lands
+/// before, during and after it. Every round's wait must end promptly and
+/// the frame must reach the peer.
+#[test]
+fn egress_push_racing_the_park_never_loses_the_wakeup() {
+    const ROUNDS: usize = 1000;
+    let (controller, mut reactor, mut tick, mut stream, mut dec) =
+        handshaken_raw_conn(SouthboundConfig::default());
+    let po = PacketOut {
+        buffer_id: BufferId::NO_BUFFER,
+        in_port: PortNo(1),
+        actions: ActionList::output(PortNo(2)),
+        payload: Bytes::from_static(b"race"),
+    };
+    // Rounds released so far; the pusher spins on it so it pushes within
+    // nanoseconds of the release, not after a scheduler wakeup.
+    let released = AtomicUsize::new(0);
+    let quit = AtomicBool::new(false);
+    let failure = thread::scope(|s| {
+        s.spawn(|| {
+            let mut pushed = 0;
+            while pushed < ROUNDS && !quit.load(Ordering::SeqCst) {
+                if released.load(Ordering::SeqCst) == pushed {
+                    std::hint::spin_loop();
+                    continue;
+                }
+                pushed += 1;
+                controller
+                    .kernel()
+                    .with_network(|n| n.notify_wire_packet_out(DatapathId(1), &po));
+            }
+        });
+        // Failures are returned, not panicked, so the pusher is told to
+        // quit before the scope joins it.
+        let failure = (0..ROUNDS).find_map(|round| {
+            settle(&mut reactor, &mut tick);
+            released.store(round + 1, Ordering::SeqCst);
+            for _ in 0..round % 128 {
+                std::hint::spin_loop();
+            }
+            let waited = timed_wait(&mut reactor, WAKE_TIMEOUT);
+            if waited >= Duration::from_secs(1) {
+                return Some(format!("round {round}: woke after {waited:?}"));
+            }
+            match pump_until_frame(&mut reactor, &mut tick, &mut stream, &mut dec, 1000) {
+                Some((msg_type::PACKET_OUT, _, body)) if body.ends_with(b"race") => None,
+                other => Some(format!("round {round}: got {other:?}")),
+            }
+        });
+        quit.store(true, Ordering::SeqCst);
+        failure
+    });
+    assert_eq!(failure, None);
+    assert_eq!(reactor.stats().packet_outs_tx, ROUNDS as u64);
+
+    reactor.close_all();
+    controller.shutdown();
+}
+
+/// Connects to a spawned server and completes the handshake as `dpid`,
+/// leaving a nonblocking raw socket that never answers anything.
+fn raw_switch(addr: SocketAddr, dpid: DatapathId) -> (TcpStream, StreamDecoder) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut dec = StreamDecoder::new();
+    send_raw(&mut stream, 1, &OfBody::Hello);
+    let xid = 'handshake: loop {
+        dec.read_from(&mut stream).expect("server greeting");
+        while let Some(f) = dec.next_frame().expect("valid stream") {
+            if f.ty == msg_type::FEATURES_REQUEST {
+                break 'handshake f.xid;
+            }
+        }
+    };
+    send_raw(
+        &mut stream,
+        xid.0,
+        &OfBody::FeaturesReply {
+            datapath_id: dpid,
+            ports: vec![PortNo(1), PortNo(2)],
+            table_capacity: 1024,
+        },
+    );
+    stream.set_nonblocking(true).unwrap();
+    (stream, dec)
+}
+
+/// The spawned reactor's liveness ticks are wall-clock: a neighbour
+/// flooding packet-ins makes it sweep far more often than once per tick,
+/// yet a silent switch is not probed before `echo_interval` ticks of real
+/// time. An interval of 2,000 ticks (400 ms) leaves a margin over the
+/// 300 ms watched, while a tick per sweep passes it within the window.
+#[test]
+fn flooding_neighbour_does_not_hasten_echo_probes() {
+    let config = SouthboundConfig {
+        echo_interval: 2_000,
+        ..SouthboundConfig::default()
+    };
+    let (controller, handle) = serve_l2("127.0.0.1:0", 2, 2, config).unwrap();
+    let mut flooder =
+        SwitchConn::connect(handle.local_addr(), DatapathId(1), Duration::from_secs(5)).unwrap();
+    let (mut silent, mut dec) = raw_switch(handle.local_addr(), DatapathId(2));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.stats().handshakes < 2 {
+        assert!(Instant::now() < deadline, "second handshake");
+        thread::sleep(Duration::from_millis(1));
+    }
+    flooder.set_nonblocking(true).unwrap();
+
+    // CBench-style window: every ARP packet-in is answered by one flood
+    // PACKET_OUT, and at most WINDOW are outstanding. A small window means
+    // many round trips, so many reactor sweeps.
+    const WINDOW: u64 = 4;
+    let (mut sent, mut answered) = (0u64, 0u64);
+    let mut silent_rx = Vec::new();
+    let end = Instant::now() + Duration::from_millis(300);
+    while Instant::now() < end {
+        while sent - answered < WINDOW {
+            flooder.queue_packet_in(&arp_packet_in());
+            sent += 1;
+        }
+        flooder.flush_out().unwrap();
+        while let Some(ev) = flooder.try_recv_event().unwrap() {
+            answered += u64::from(ev.is_response());
+        }
+        match dec.read_from(&mut silent) {
+            Ok(n) => assert!(n > 0, "server closed the silent switch"),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            Err(e) => panic!("socket read: {e}"),
+        }
+        while let Some(f) = dec.next_frame().expect("valid stream") {
+            silent_rx.push(f.ty);
+        }
+    }
+    assert!(answered > 0, "the flood must be served");
+    assert!(
+        !silent_rx.contains(&msg_type::ECHO_REQUEST),
+        "silent switch probed within 300 ms: {silent_rx:?}"
+    );
+    assert_eq!(handle.stats().echo_timeouts, 0);
+
+    drop((flooder, silent));
+    handle.shutdown();
+    controller.shutdown();
 }
