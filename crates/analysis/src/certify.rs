@@ -9,7 +9,7 @@
 //!   registered, the required token was never granted, or the grant's filter
 //!   provably rejects the call. Any SH016 means the enforcement engine and
 //!   the static model disagree, which is exactly the bug class this gate
-//!   exists to catch (fast-lane/cache/batch divergence from the deputy).
+//!   exists to catch (fast-lane/vectored/batch divergence from the deputy).
 //! - **Deny of an always-allowed call (SH017, warning).** The kernel denied
 //!   a call the static model proves admissible under every context. A
 //!   warning, not an error: over-restriction is safe, but it usually
@@ -111,7 +111,8 @@ pub struct CertifyReport {
     /// Decisions accepted only because a stateful literal made the verdict
     /// unknown (the incompleteness boundary, reported for transparency).
     pub unknown: u64,
-    /// Decisions per lane (`deputy`, `fastlane`, `vectored`, `batch`).
+    /// Decisions per lane (`deputy` — deputy calls and host sends —
+    /// `fastlane`, `vectored`, `batch`).
     pub lanes: BTreeMap<String, u64>,
     /// Every SH016/SH017 finding, plus any trace or manifest parse error.
     pub findings: Vec<Diagnostic>,

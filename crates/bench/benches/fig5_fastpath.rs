@@ -1,15 +1,11 @@
-//! Criterion bench for the permission-check fast path (DESIGN.md §5): the
-//! four-tier ablation (interpreted AST → short-circuit DNF → compiled plan
-//! → plan + epoch-keyed decision cache) on both the paper's uniform trace
-//! and the repeated-call workload the cache is built for, plus batched vs
-//! singleton flow-mod submission at the kernel boundary.
+//! Criterion bench for the permission-check path (DESIGN.md §5): the
+//! interpreted AST (the differential oracle) against the compiled check
+//! plan on the paper's uniform trace, plus batched vs singleton flow-mod
+//! submission at the kernel boundary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use sdnshield_bench::fig5::{
-    gen_call_only_manifest, gen_manifest, gen_repeated_trace, gen_trace, Complexity, TraceCall,
-    GRANTED_NET,
-};
+use sdnshield_bench::fig5::{gen_manifest, gen_trace, Complexity, TraceCall, GRANTED_NET};
 use sdnshield_controller::api::FlowOp;
 use sdnshield_controller::kernel::Kernel;
 use sdnshield_core::api::{ApiCall, ApiCallKind, AppId};
@@ -32,7 +28,7 @@ fn bench_tiers(c: &mut Criterion) {
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2));
 
-    // Tier ablation on the uniform trace, across manifest complexity.
+    // Both check paths on the uniform trace, across manifest complexity.
     for complexity in Complexity::ALL {
         let engine = PermissionEngine::compile(&gen_manifest(complexity, 42));
         let trace = gen_trace(TraceCall::InsertFlow, 4096, 50, 7);
@@ -49,29 +45,7 @@ fn bench_tiers(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("uniform/dnf", complexity.label()),
-            &trace,
-            |b, t| {
-                b.iter(|| {
-                    t.iter()
-                        .filter(|c| engine.check_dnf(c, &NullContext).is_allowed())
-                        .count()
-                })
-            },
-        );
-        group.bench_with_input(
             BenchmarkId::new("uniform/plan", complexity.label()),
-            &trace,
-            |b, t| {
-                b.iter(|| {
-                    t.iter()
-                        .filter(|c| engine.check_uncached(c, &NullContext).is_allowed())
-                        .count()
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("uniform/plan_cache", complexity.label()),
             &trace,
             |b, t| {
                 b.iter(|| {
@@ -82,45 +56,6 @@ fn bench_tiers(c: &mut Criterion) {
             },
         );
     }
-
-    // The repeated-call workload on a call-only manifest: cache hits
-    // dominate, so plan_cache should clear the other tiers.
-    let engine = PermissionEngine::compile(&gen_call_only_manifest(Complexity::Medium, 42));
-    let repeated = gen_repeated_trace(TraceCall::InsertFlow, BATCH, 4096, 50, 7);
-    group.throughput(Throughput::Elements(repeated.len() as u64));
-    group.bench_with_input(
-        BenchmarkId::new("repeated/dnf", "medium"),
-        &repeated,
-        |b, t| {
-            b.iter(|| {
-                t.iter()
-                    .filter(|c| engine.check_dnf(c, &NullContext).is_allowed())
-                    .count()
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("repeated/plan", "medium"),
-        &repeated,
-        |b, t| {
-            b.iter(|| {
-                t.iter()
-                    .filter(|c| engine.check_uncached(c, &NullContext).is_allowed())
-                    .count()
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("repeated/plan_cache", "medium"),
-        &repeated,
-        |b, t| {
-            b.iter(|| {
-                t.iter()
-                    .filter(|c| engine.check(c, &NullContext).is_allowed())
-                    .count()
-            })
-        },
-    );
     group.finish();
 }
 

@@ -1,16 +1,14 @@
 //! Figure 5: permission-engine checking throughput on a single core, by
-//! manifest complexity and API-call shape — now as a four-tier ablation of
-//! the check fast path (DESIGN.md §5):
+//! manifest complexity and API-call shape, for the two check paths
+//! (DESIGN.md §5):
 //!
-//! * `interpreted` — AST interpretation (semantic baseline),
-//! * `dnf`         — short-circuit DNF (the pre-plan compiled path),
-//! * `plan`        — compiled check plan (static literals folded, terms
-//!   and literals ordered cheapest-first),
-//! * `plan+cache`  — plan plus the epoch-keyed decision cache.
+//! * `interpreted` — AST interpretation (the differential oracle),
+//! * `plan`        — the compiled check plan `PermissionEngine::check` runs
+//!   (static literals folded, terms and literals ordered cheapest-first).
 //!
-//! Also measures the repeated-call workload where the cache pays off, and
-//! the batched deputy API (`submit_batch`) against singleton calls through
-//! a real `ShieldedController` channel. Emits `BENCH_fig5.json`.
+//! Also measures the batched deputy API (`submit_batch`) against singleton
+//! calls through a real `ShieldedController` channel. Emits
+//! `BENCH_fig5.json`.
 //!
 //! Run with: `cargo run --release -p sdnshield-bench --bin fig5_table`
 //! (`--fast` shrinks the traces for CI smoke runs).
@@ -20,10 +18,7 @@ use std::fs;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use sdnshield_bench::fig5::{
-    gen_call_only_manifest, gen_manifest, gen_repeated_trace, gen_trace, Complexity, TraceCall,
-    GRANTED_NET,
-};
+use sdnshield_bench::fig5::{gen_manifest, gen_trace, Complexity, TraceCall, GRANTED_NET};
 use sdnshield_controller::api::FlowOp;
 use sdnshield_controller::app::{App, AppCtx};
 use sdnshield_controller::isolation::ShieldedController;
@@ -38,21 +33,14 @@ use sdnshield_openflow::flow_match::FlowMatch;
 use sdnshield_openflow::messages::FlowMod;
 use sdnshield_openflow::types::{DatapathId, Ipv4, PortNo, Priority};
 
-const TIERS: [&str; 4] = ["interpreted", "dnf", "plan", "plan_cache"];
+const TIERS: [&str; 2] = ["interpreted", "plan"];
 const BATCH: usize = 64;
-/// Distinct call shapes in the repeated workload — a reactive app's
-/// per-traffic-class rule set.
-const DISTINCT_SHAPES: usize = 64;
 
 /// checks/sec for each tier, in `TIERS` order.
-fn tier_throughputs(engine: &PermissionEngine, trace: &[ApiCall]) -> [f64; 4] {
+fn tier_throughputs(engine: &PermissionEngine, trace: &[ApiCall]) -> [f64; 2] {
     [
         throughput(trace, |c| {
             engine.check_interpreted(c, &NullContext).is_allowed()
-        }),
-        throughput(trace, |c| engine.check_dnf(c, &NullContext).is_allowed()),
-        throughput(trace, |c| {
-            engine.check_uncached(c, &NullContext).is_allowed()
         }),
         throughput(trace, |c| engine.check(c, &NullContext).is_allowed()),
     ]
@@ -157,18 +145,12 @@ fn main() {
     println!("Figure 5 — permission engine throughput (single core)");
     println!("trace: {trace_len} calls, 5% violations\n");
     println!(
-        "{:<18} {:<10} {:>13} {:>13} {:>13} {:>13} {:>12}",
-        "call",
-        "complexity",
-        "interp (k/s)",
-        "dnf (k/s)",
-        "plan (k/s)",
-        "cache (k/s)",
-        "latency(ns)"
+        "{:<18} {:<10} {:>13} {:>13} {:>12}",
+        "call", "complexity", "interp (k/s)", "plan (k/s)", "latency(ns)"
     );
 
-    // Section 1 — tier ablation on the paper's uniform random trace.
-    let mut uniform: Vec<(&str, &str, [f64; 4])> = Vec::new();
+    // Section 1 — both check paths on the paper's uniform random trace.
+    let mut uniform: Vec<(&str, &str, [f64; 2])> = Vec::new();
     for shape in [TraceCall::InsertFlow, TraceCall::ReadStatistics] {
         for complexity in Complexity::ALL {
             // The Small manifest only grants insert_flow; skip the stats
@@ -185,38 +167,18 @@ fn main() {
                 TraceCall::ReadStatistics => "read_statistics",
             };
             println!(
-                "{:<18} {:<10} {:>13.0} {:>13.0} {:>13.0} {:>13.0} {:>12.0}",
+                "{:<18} {:<10} {:>13.0} {:>13.0} {:>12.0}",
                 shape_label,
                 complexity.label(),
                 tiers[0] / 1e3,
                 tiers[1] / 1e3,
-                tiers[2] / 1e3,
-                tiers[3] / 1e3,
-                1e9 / tiers[3],
+                1e9 / tiers[1],
             );
             uniform.push((shape_label, complexity.label(), tiers));
         }
     }
 
-    // Section 2 — the repeated-call workload (call-only manifest, so the
-    // decision cache engages): the case the cache is built for.
-    let engine = PermissionEngine::compile(&gen_call_only_manifest(Complexity::Medium, 42));
-    let repeated = gen_repeated_trace(TraceCall::InsertFlow, DISTINCT_SHAPES, trace_len, 50, 7);
-    let repeated_tiers = tier_throughputs(&engine, &repeated);
-    let cache_vs_dnf = repeated_tiers[3] / repeated_tiers[1];
-    println!(
-        "\nrepeated-call workload ({DISTINCT_SHAPES} distinct insert_flow shapes, medium call-only manifest):"
-    );
-    for (label, t) in TIERS.iter().zip(repeated_tiers.iter()) {
-        println!(
-            "  {label:<12} {:>13.0} k/s  ({:>6.0} ns/check)",
-            t / 1e3,
-            1e9 / t
-        );
-    }
-    println!("  plan+cache vs dnf: {cache_vs_dnf:.2}x");
-
-    // Section 3 — batched vs singleton deputy calls through a live
+    // Section 2 — batched vs singleton deputy calls through a live
     // controller channel.
     let (singleton_ns, batch_ns) = measure_deputy(deputy_reps);
     let batch_speedup = singleton_ns / batch_ns;
@@ -231,14 +193,7 @@ fn main() {
          complexity (Fig 5)."
     );
 
-    let json = to_json(
-        trace_len,
-        &uniform,
-        &repeated_tiers,
-        cache_vs_dnf,
-        singleton_ns,
-        batch_ns,
-    );
+    let json = to_json(trace_len, &uniform, singleton_ns, batch_ns);
     fs::write("BENCH_fig5.json", &json).expect("write BENCH_fig5.json");
     println!("\nwrote BENCH_fig5.json");
 }
@@ -246,16 +201,14 @@ fn main() {
 /// Hand-rolled JSON (the workspace deliberately carries no serde).
 fn to_json(
     trace_len: usize,
-    uniform: &[(&str, &str, [f64; 4])],
-    repeated: &[f64; 4],
-    cache_vs_dnf: f64,
+    uniform: &[(&str, &str, [f64; 2])],
     singleton_ns: f64,
     batch_ns: f64,
 ) -> String {
     let parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let tiers_obj = |s: &mut String, indent: &str, tiers: &[f64; 4]| {
+    let tiers_obj = |s: &mut String, indent: &str, tiers: &[f64; 2]| {
         for (i, (label, t)) in TIERS.iter().zip(tiers.iter()).enumerate() {
             let comma = if i + 1 < TIERS.len() { "," } else { "" };
             let _ = writeln!(s, "{indent}\"{label}\": {t:.0}{comma}");
@@ -275,13 +228,6 @@ fn to_json(
         let _ = writeln!(s, "    }}{comma}");
     }
     s.push_str("  },\n");
-    let _ = writeln!(
-        s,
-        "  \"repeated_trace\": {{ \"distinct_shapes\": {DISTINCT_SHAPES},"
-    );
-    tiers_obj(&mut s, "    ", repeated);
-    s.push_str("  },\n");
-    let _ = writeln!(s, "  \"repeated_plan_cache_vs_dnf\": {cache_vs_dnf:.2},");
     let _ = writeln!(s, "  \"deputy_singleton_ns_per_op\": {singleton_ns:.0},");
     let _ = writeln!(s, "  \"deputy_batch{BATCH}_ns_per_op\": {batch_ns:.0},");
     let _ = writeln!(

@@ -80,18 +80,6 @@ pub const FORBIDDEN_NET: Ipv4 = Ipv4::new(172, 31, 0, 0);
 /// [`gen_trace`] passes: every token's filter includes a disjunct covering
 /// [`GRANTED_NET`] traffic at priority ≤ 400 with forwarding actions.
 pub fn gen_manifest(complexity: Complexity, seed: u64) -> PermissionSet {
-    gen_manifest_with(complexity, seed, false)
-}
-
-/// Like [`gen_manifest`], but every filter atom is *call-only* (no
-/// ownership/quota/provenance atoms), so the compiled plans are pure
-/// functions of the call shape and the engine's decision cache engages.
-/// This is the manifest the repeated-call cache benchmark uses.
-pub fn gen_call_only_manifest(complexity: Complexity, seed: u64) -> PermissionSet {
-    gen_manifest_with(complexity, seed, true)
-}
-
-fn gen_manifest_with(complexity: Complexity, seed: u64, call_only: bool) -> PermissionSet {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut set = PermissionSet::new();
     // Tokens in a fixed order: flow-table tokens first so Small keeps
@@ -114,7 +102,7 @@ fn gen_manifest_with(complexity: Complexity, seed: u64, call_only: bool) -> Perm
         PermissionToken::ProcessRuntime,
     ];
     for token in token_order.into_iter().take(complexity.tokens()) {
-        let filter = gen_filter(token, complexity.filters_per_token(), call_only, &mut rng);
+        let filter = gen_filter(token, complexity.filters_per_token(), &mut rng);
         set.insert(Permission::limited(token, filter));
     }
     set
@@ -122,12 +110,7 @@ fn gen_manifest_with(complexity: Complexity, seed: u64, call_only: bool) -> Perm
 
 /// Builds one token's filter: a disjunction of conjunctive clauses totaling
 /// 10–20 singleton filters, always including the workload-passing clause.
-fn gen_filter(
-    token: PermissionToken,
-    total: usize,
-    call_only: bool,
-    rng: &mut StdRng,
-) -> FilterExpr {
+fn gen_filter(token: PermissionToken, total: usize, rng: &mut StdRng) -> FilterExpr {
     // The guaranteed-pass clause: granted subnet + generous bounds.
     let pass_clause = FilterExpr::atom(SingletonFilter::Pred(FlowMatch {
         ip_dst: Some(MaskedIpv4::prefix(GRANTED_NET, 16)),
@@ -153,7 +136,7 @@ fn gen_filter(
         // every disjunct (the point of the workload).
         let mut clause = FilterExpr::atom(subnet_atom(rng));
         for _ in 1..clause_len {
-            clause = clause.and(FilterExpr::atom(random_atom(token, call_only, rng)));
+            clause = clause.and(FilterExpr::atom(random_atom(token, rng)));
         }
         used += clause_len;
         expr = Some(match expr {
@@ -182,15 +165,12 @@ fn subnet_atom(rng: &mut StdRng) -> SingletonFilter {
     })
 }
 
-fn random_atom(_token: PermissionToken, call_only: bool, rng: &mut StdRng) -> SingletonFilter {
+fn random_atom(_token: PermissionToken, rng: &mut StdRng) -> SingletonFilter {
     match rng.gen_range(0..5) {
         0 => subnet_atom(rng),
         1 => SingletonFilter::MaxPriority(rng.gen_range(50..300)),
         2 => SingletonFilter::MinPriority(rng.gen_range(1..50)),
-        // Ownership reads the CheckContext, which makes the whole token's
-        // plan uncacheable; the call-only variant substitutes a priority cap.
-        3 if !call_only => SingletonFilter::Ownership(Ownership::OwnFlows),
-        3 => SingletonFilter::MaxPriority(rng.gen_range(300..400)),
+        3 => SingletonFilter::Ownership(Ownership::OwnFlows),
         _ => SingletonFilter::Pred(FlowMatch::default().with_tp_dst(rng.gen_range(1..1024))),
     }
 }
@@ -253,25 +233,6 @@ pub fn gen_trace(shape: TraceCall, n: usize, violation_permille: u32, seed: u64)
         .collect()
 }
 
-/// Generates a *repeated-call* workload: a pool of `distinct` unique calls
-/// (same generation rules and violation rate as [`gen_trace`]) sampled
-/// uniformly `n` times. Real reactive apps re-issue the same handful of
-/// flow-mod shapes per traffic class; this is the workload where the
-/// engine's decision cache pays off.
-pub fn gen_repeated_trace(
-    shape: TraceCall,
-    distinct: usize,
-    n: usize,
-    violation_permille: u32,
-    seed: u64,
-) -> Vec<ApiCall> {
-    let pool = gen_trace(shape, distinct, violation_permille, seed);
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1));
-    (0..n)
-        .map(|_| pool[rng.gen_range(0..pool.len())].clone())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,38 +287,6 @@ mod tests {
             .filter(|c| medium.check(c, &NullContext).is_allowed())
             .count();
         assert!(allowed > 80, "most stats calls pass on medium: {allowed}");
-    }
-
-    #[test]
-    fn call_only_manifest_plans_are_cacheable() {
-        for c in Complexity::ALL {
-            let engine = PermissionEngine::compile(&gen_call_only_manifest(c, 42));
-            assert!(
-                engine.plan_cacheable(PermissionToken::InsertFlow),
-                "{c:?} call-only manifest must compile to a cacheable insert_flow plan"
-            );
-            // All tiers still agree on the standard trace.
-            let trace = gen_trace(TraceCall::InsertFlow, 500, 50, 7);
-            for call in &trace {
-                assert_eq!(
-                    engine.check(call, &NullContext),
-                    engine.check_interpreted(call, &NullContext)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn repeated_trace_cycles_distinct_pool() {
-        let trace = gen_repeated_trace(TraceCall::InsertFlow, 16, 2_000, 50, 3);
-        assert_eq!(trace.len(), 2_000);
-        let pool = gen_trace(TraceCall::InsertFlow, 16, 50, 3);
-        assert!(trace.iter().all(|c| pool.contains(c)));
-        // Deterministic for a given seed.
-        assert_eq!(
-            trace,
-            gen_repeated_trace(TraceCall::InsertFlow, 16, 2_000, 50, 3)
-        );
     }
 
     #[test]

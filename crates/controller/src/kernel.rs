@@ -278,9 +278,8 @@ pub struct Kernel {
     tracker: RwLock<OwnershipTracker>,
     /// Lock-free mirror of the tracker's epoch, republished under the
     /// tracker write lock by [`Kernel::tracker_mut`]. Lets
-    /// [`Kernel::context_epoch`] — and through it every call-only
-    /// permission check and the app-side read fast lane — avoid the
-    /// tracker's read lock entirely.
+    /// [`Kernel::context_epoch`] — and through it the app-side read fast
+    /// lane's race check — avoid the tracker's read lock entirely.
     tracker_epoch: AtomicU64,
     network: Arc<Network>,
     host: Mutex<HostSystem>,
@@ -392,9 +391,10 @@ impl Kernel {
     }
 
     /// Arms the decision-trace recorder, clearing any prior buffer. While
-    /// armed, every permission decision (deputy, fast lane, vectored
-    /// packet-outs, batches) and every (de)registration is recorded as a
-    /// [`sdnshield_core::trace::TraceEvent`] for `shieldcheck certify`.
+    /// armed, every permission decision (deputy calls and host sends, fast
+    /// lane, vectored packet-outs, batches) and every (de)registration is
+    /// recorded as a [`sdnshield_core::trace::TraceEvent`] for
+    /// `shieldcheck certify`.
     pub fn enable_decision_trace(&self) {
         self.decision_trace.lock().clear();
         self.trace_armed.store(true, Ordering::Release);
@@ -424,6 +424,29 @@ impl Kernel {
         });
     }
 
+    /// Records one permission decision from any mediation seam: traces it
+    /// under `lane` and, on a denial, audits it as `operation`. Every seam
+    /// goes through here, so the decision trace and the denial audit
+    /// (with its `replay:` tag) cannot drift apart between lanes.
+    fn record_decision(
+        &self,
+        call: &ApiCall,
+        decision: &Decision,
+        lane: &'static str,
+        operation: &str,
+    ) {
+        let allowed = decision.is_allowed();
+        self.trace_decision(call, allowed, lane);
+        if !allowed {
+            self.record_audit(
+                call.app,
+                operation,
+                call.required_token(),
+                AuditOutcome::Denied,
+            );
+        }
+    }
+
     /// Are permission checks enabled (i.e. is this a shielded kernel rather
     /// than the monolithic baseline)?
     pub fn checks_enabled(&self) -> bool {
@@ -444,8 +467,8 @@ impl Kernel {
     }
 
     /// A shared snapshot of an app's compiled permission engine (the same
-    /// `Arc` the deputies check against, so its decision cache is shared
-    /// across both sides of the channel). `None` when the app is not
+    /// `Arc` the deputies check against, so the app-side fast lane decides
+    /// with exactly the deputy's compiled plans). `None` when the app is not
     /// registered.
     pub fn engine_snapshot(&self, app: AppId) -> Option<Arc<PermissionEngine>> {
         self.engine_for(app)
@@ -696,26 +719,19 @@ impl Kernel {
     /// audits the outcome.
     fn mediate(&self, call: &ApiCall) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
         if self.checks_enabled {
-            let Some(engine) = self.engine_for(call.app) else {
-                let err = ApiError::PermissionDenied {
+            let decision = match self.engine_for(call.app) {
+                Some(engine) => {
+                    engine.check_with(call, self.context_epoch(), || self.tracker_read())
+                }
+                None => Decision::Denied {
                     token: call.required_token(),
                     reason: sdnshield_core::engine::DenyReason::MissingToken,
-                };
-                self.trace_decision(call, false, "deputy");
-                return (Err(err), Vec::new());
+                },
             };
-            let decision = engine.check_with(call, self.context_epoch(), || self.tracker_read());
-            if let Decision::Denied { .. } = decision {
-                self.trace_decision(call, false, "deputy");
-                self.record_audit(
-                    call.app,
-                    call.kind.name(),
-                    call.required_token(),
-                    AuditOutcome::Denied,
-                );
+            self.record_decision(call, &decision, "deputy", call.kind.name());
+            if !decision.is_allowed() {
                 return (Err(ApiError::from_decision(decision)), Vec::new());
             }
-            self.trace_decision(call, true, "deputy");
         }
         if self
             .absorb_packet_outs
@@ -802,17 +818,10 @@ impl Kernel {
                 // the deputy re-decide against a live tracker view.
                 return None;
             }
-            if let Decision::Denied { .. } = decision {
-                self.trace_decision(call, false, "fastlane");
-                self.record_audit(
-                    call.app,
-                    call.kind.name(),
-                    call.required_token(),
-                    AuditOutcome::Denied,
-                );
+            self.record_decision(call, &decision, "fastlane", call.kind.name());
+            if !decision.is_allowed() {
                 return Some(Err(ApiError::from_decision(decision)));
             }
-            self.trace_decision(call, true, "fastlane");
         }
         let (result, events) = self.apply(call);
         debug_assert!(events.is_empty(), "read-only apply arms emit no events");
@@ -920,17 +929,10 @@ impl Kernel {
             if let Some(engine) = engine.as_deref() {
                 let decision =
                     engine.check_with(&call, self.context_epoch(), || self.tracker_read());
-                if let Decision::Denied { .. } = decision {
-                    self.trace_decision(&call, false, "vectored");
-                    self.record_audit(
-                        app,
-                        call.kind.name(),
-                        call.required_token(),
-                        AuditOutcome::Denied,
-                    );
+                self.record_decision(&call, &decision, "vectored", call.kind.name());
+                if !decision.is_allowed() {
                     continue;
                 }
-                self.trace_decision(&call, true, "vectored");
             }
             if absorb {
                 self.record_audit(
@@ -965,10 +967,11 @@ impl Kernel {
     }
 
     /// The current context epoch: advances whenever the ownership tracker
-    /// mutates, invalidating engine decision caches keyed on it (see
-    /// [`sdnshield_core::eval::CheckContext::epoch`]). Every tracker
-    /// mutation routes through its `record_*` methods, which bump the
-    /// counter unconditionally — no kernel call site can forget.
+    /// mutates. The read fast lane re-reads it after deciding to abandon a
+    /// hit that raced a mutation, and replay compares it between a live
+    /// kernel and its recovered twin. Every tracker mutation routes through
+    /// its `record_*` methods, which bump the counter unconditionally — no
+    /// kernel call site can forget.
     pub fn context_epoch(&self) -> u64 {
         self.tracker_epoch.load(Ordering::Acquire)
     }
@@ -991,26 +994,22 @@ impl Kernel {
                     Vec::new(),
                 );
             };
-            // Call-only decisions resolve against the pinned epoch without
-            // the tracker lock; the read guard is acquired lazily on the
-            // first stateful literal and then held so every stateful check
-            // in the batch sees one consistent tracker view.
-            let epoch = self.context_epoch();
+            // Call-only decisions resolve without the tracker lock; the read
+            // guard is acquired lazily on the first stateful literal and
+            // then held so every stateful check in the batch sees one
+            // consistent tracker view.
             let mut tracker = None;
             for (i, op) in ops.iter().enumerate() {
                 let call = flow_op_call(app, op);
-                let decision = match engine.check_call_only(&call, epoch) {
+                let decision = match engine.check_call_only(&call, self.context_epoch()) {
                     Some(d) => d,
                     None => {
                         let t = tracker.get_or_insert_with(|| self.tracker_read());
                         engine.check(&call, &**t)
                     }
                 };
-                if let Decision::Denied { .. } = decision {
-                    drop(tracker);
-                    self.trace_decision(&call, false, "batch");
-                    self.audit
-                        .record(app, audit_op, call.required_token(), AuditOutcome::Denied);
+                self.record_decision(&call, &decision, "batch", audit_op);
+                if !decision.is_allowed() {
                     return (
                         Err(ApiError::TransactionAborted {
                             failed_index: i,
@@ -1019,7 +1018,6 @@ impl Kernel {
                         Vec::new(),
                     );
                 }
-                self.trace_decision(&call, true, "batch");
             }
         }
         // Phase 2: apply, with rollback on switch errors.
@@ -1344,13 +1342,8 @@ impl Kernel {
             let synthetic = ApiCall::new(app, ApiCallKind::HostConnect { dst_ip, dst_port });
             let decision =
                 engine.check_with(&synthetic, self.context_epoch(), || self.tracker_read());
-            if let Decision::Denied { .. } = decision {
-                self.record_audit(
-                    app,
-                    "host_send",
-                    PermissionToken::HostNetwork,
-                    AuditOutcome::Denied,
-                );
+            self.record_decision(&synthetic, &decision, "deputy", "host_send");
+            if !decision.is_allowed() {
                 return Err(ApiError::from_decision(decision));
             }
         }
@@ -2810,6 +2803,68 @@ mod tests {
             .0
             .unwrap();
         assert_eq!(kernel.bytes_exfiltrated_by(app), 1000);
+    }
+
+    #[test]
+    fn host_send_decisions_are_traced_and_certify() {
+        use sdnshield_core::trace::{write_trace, TraceEvent};
+        let kernel = Kernel::new(Network::new(builders::linear(3), 1024), true);
+        kernel.enable_decision_trace();
+        let app = AppId(1);
+        let register = |manifest: &str| {
+            kernel
+                .register_app(app, "exfil", &parse_manifest(manifest).unwrap())
+                .unwrap();
+        };
+        let connect = |dst_ip: Ipv4| {
+            let call = ApiCall::new(
+                app,
+                ApiCallKind::HostConnect {
+                    dst_ip,
+                    dst_port: 80,
+                },
+            );
+            match kernel.execute(&call).0 {
+                Ok(ApiResponse::Connection(conn)) => conn,
+                other => panic!("expected a connection, got {other:?}"),
+            }
+        };
+        register("PERM host_network");
+        let inside = connect(Ipv4::new(10, 0, 0, 1));
+        let outside = connect(Ipv4::new(8, 8, 8, 8));
+        // Narrowed after both connections opened: each send re-checks its
+        // destination against the live grant.
+        register("PERM host_network LIMITING IP_DST 10.0.0.0 MASK 255.0.0.0");
+        kernel
+            .host_send(app, inside, Bytes::from_static(b"ok"))
+            .unwrap();
+        assert!(kernel
+            .host_send(app, outside, Bytes::from_static(b"leak"))
+            .unwrap_err()
+            .is_denied());
+
+        let trace = kernel.take_decision_trace();
+        let sends: Vec<(bool, &ApiCall)> = trace
+            .iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::Decision {
+                    lane,
+                    allowed,
+                    call,
+                } if lane == "deputy" => Some((*allowed, call)),
+                _ => None,
+            })
+            .skip(2) // the two connects
+            .collect();
+        assert_eq!(sends.len(), 2, "both host sends must be traced");
+        assert!(sends[0].0 && !sends[1].0);
+        assert!(matches!(
+            sends[1].1.kind,
+            ApiCallKind::HostConnect { dst_ip, .. } if dst_ip == Ipv4::new(8, 8, 8, 8)
+        ));
+        let report = sdnshield_analysis::certify_trace(&write_trace(&trace));
+        assert!(report.is_certified(), "{:?}", report.findings);
+        assert_eq!(report.decisions, 4);
     }
 
     #[test]

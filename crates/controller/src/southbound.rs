@@ -6,10 +6,13 @@
 //! One thread owns a nonblocking [`TcpListener`] and every connection, and
 //! drives them with a *sweep*: each [`Reactor::poll_once`] call accepts
 //! pending connections, then for every connection flushes queued egress
-//! bytes, reads until `WouldBlock`, decodes complete frames from the
-//! reusable stream buffer, and finally runs the liveness/timeout pass. The
-//! explicit `poll_once(tick)` entry point keeps the whole state machine
-//! deterministic under test.
+//! bytes, reads until `WouldBlock` or a per-sweep byte budget, decodes
+//! complete frames from the reusable stream buffer, and finally runs the
+//! liveness/timeout pass. The read budget keeps a peer that writes without
+//! pause from holding the sweep: the other connections and the egress
+//! flush still get their turn, and the readiness wait returns at once for
+//! the bytes left behind. The explicit `poll_once(tick)` entry point keeps
+//! the whole state machine deterministic under test.
 //!
 //! Between sweeps that found nothing to do, [`Reactor::wait`] parks the
 //! thread in a readiness wait ([`polling::Poller`]) on the listener, every
@@ -62,7 +65,7 @@ use parking_lot::Mutex;
 use polling::{Event, Poller};
 use sdnshield_netsim::network::{Network, WireEgress};
 use sdnshield_openflow::messages::{FlowMod, OfBody, PacketIn, PacketOut};
-use sdnshield_openflow::southbound::{StreamDecoder, WriteRing};
+use sdnshield_openflow::southbound::{StreamDecoder, WriteRing, READ_CHUNK};
 use sdnshield_openflow::types::{DatapathId, Xid};
 use sdnshield_openflow::wire::msg_type;
 
@@ -76,6 +79,11 @@ pub const LIVENESS_PAYLOAD: &[u8] = b"sdnshield-liveness\x00\xa5";
 /// backstop timeout of its readiness wait (so ticks advance on an idle
 /// server).
 pub const TICK: Duration = Duration::from_micros(200);
+
+/// Bytes one connection may read in one sweep. Frames already buffered are
+/// still decoded; the rest waits for the next sweep, which the readiness
+/// wait makes immediate.
+const READ_BUDGET: usize = 4 * READ_CHUNK;
 
 /// Poller key of the listener; connections use their index in the sweep.
 const LISTENER_KEY: usize = usize::MAX;
@@ -475,6 +483,7 @@ impl Reactor {
         }
         Self::flush_conn(conn, stats);
         let mut progress = 0usize;
+        let mut budget = READ_BUDGET;
         'io: loop {
             loop {
                 // Split borrows: frame views borrow the decoder while the
@@ -579,12 +588,16 @@ impl Reactor {
                     controller.deliver_packet_in_batch(std::mem::take(batch));
                 }
             }
+            if budget == 0 {
+                // Yield to the other connections; the rest is still readable.
+                break;
+            }
             match conn.decoder.read_from(&mut conn.stream) {
                 Ok(0) => {
                     conn.dead = Some("peer closed");
                     break;
                 }
-                Ok(_) => {}
+                Ok(n) => budget = budget.saturating_sub(n),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => {

@@ -255,6 +255,11 @@ fn promote_preserves_audit_trail_across_failover() {
         })
         .collect();
 
+    // Fail over mid-storm, not before it: the old primary must have
+    // acknowledged at least one insert, or its log is legitimately empty.
+    while acked.lock().unwrap().is_empty() {
+        std::thread::yield_now();
+    }
     for _ in 0..5 {
         standby.catch_up();
         std::thread::yield_now();

@@ -2,7 +2,7 @@
 //! operations across the app→KSD channel in one crossing, checks them under
 //! a single engine snapshot, and applies them atomically (rollback on any
 //! failure). Also covers the kernel-level `execute_batch` entry point and
-//! the context-epoch plumbing that invalidates engine decision caches.
+//! the context-epoch plumbing the read fast lane revalidates against.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -11,8 +11,8 @@
 //! * every mutating call and every stateful-plan read returns `None` from
 //!   the fast path (it must traverse the deputy);
 //! * under a concurrent epoch-bumping mutator, fast-path answers for
-//!   call-only plans never waver (the decision cache + epoch revalidation
-//!   cannot leak a stale verdict);
+//!   call-only plans never waver (epoch revalidation cannot leak a stale
+//!   verdict);
 //! * at controller level, an app observes identical results with the fast
 //!   lane on and off — and the `#[ignore]`d tier-2 test asserts the lane's
 //!   ≥2× latency win on multi-core hosts.
@@ -340,9 +340,9 @@ fn stateful_plan_reads_defer_to_deputy() {
 
 /// Forced epoch races: a mutator thread hammers the tracker (every insert
 /// bumps the context epoch) while the main thread reads through the fast
-/// path. Call-only decisions are epoch-independent — the epoch only keys
-/// the decision cache — so any waver in the answers would be a stale cache
-/// entry leaking through the revalidation window.
+/// path. Call-only decisions are epoch-independent, so any waver in the
+/// answers would be a stale verdict leaking through the revalidation
+/// window.
 #[test]
 fn concurrent_epoch_bumps_never_change_call_only_decisions() {
     // SWITCH_LEVEL is the coarsest grant: table summaries pass, flow-level

@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use sdnshield_controller::isolation::{ControllerConfig, ShieldedController, WarmStandby};
 use sdnshield_controller::journal::{Journal, JournalFaults};
 use sdnshield_controller::kernel::Kernel;
-use sdnshield_controller::{ApiError, ApiResponse, KernelSnapshot};
+use sdnshield_controller::{ApiError, ApiResponse, FlowOp, KernelSnapshot};
 use sdnshield_core::api::{ApiCall, ApiCallKind, AppId};
 use sdnshield_core::lang::parse_manifest;
 use sdnshield_core::perm::PermissionSet;
@@ -491,8 +491,22 @@ fn replayed_commands_are_retagged_and_cursors_survive() {
     for tp in 1..=3u16 {
         let _ = live.execute(&insert_call(PRIV, tp, 100, 0, 1));
     }
-    let _ = live.execute(&insert_call(UNPRIV, 9, 1, 0, 1)); // denied, audited
-                                                            // A forensic consumer has read everything up to the crash.
+    // Denied and audited.
+    let _ = live.execute(&insert_call(UNPRIV, 9, 1, 0, 1));
+    // Denied atomic groups audit under their group tag, which replay must
+    // retag like any other operation.
+    let op = FlowOp {
+        dpid: DatapathId(1),
+        flow_mod: FlowMod::add(
+            FlowMatch::default().with_tp_dst(10),
+            Priority(1),
+            ActionList::output(PortNo(1)),
+        ),
+    };
+    let ops = [op];
+    assert!(live.execute_batch(UNPRIV, &ops).0.is_err());
+    assert!(live.execute_transaction(UNPRIV, &ops).0.is_err());
+    // A forensic consumer has read everything up to the crash.
     let cursor = live
         .audit_records_since(0)
         .last()
@@ -524,10 +538,15 @@ fn replayed_commands_are_retagged_and_cursors_survive() {
         replayed.len(),
         "no replayed record may be numbered at or below the consumed cursor"
     );
-    // The denial replayed as a denial: same decision, replay-tagged.
-    assert!(replayed
-        .iter()
-        .any(|r| r.app == UNPRIV && r.operation == "replay:insert_flow"));
+    // The denials replayed as denials: same decisions, replay-tagged.
+    for op in ["insert_flow", "batch", "transaction"] {
+        assert!(
+            replayed
+                .iter()
+                .any(|r| r.app == UNPRIV && r.operation == format!("replay:{op}")),
+            "no replayed {op} denial"
+        );
+    }
 }
 
 #[test]

@@ -5,9 +5,9 @@
 //! checked in two steps:
 //!
 //! 1. **token gate** — O(1) lookup: is the required token granted at all?
-//! 2. **filter evaluation** — the compiled filter for that token is
-//!    evaluated against the call's attributes (short-circuit DNF when the
-//!    filter normalizes compactly, AST interpretation otherwise).
+//! 2. **filter evaluation** — the token's compiled check plan is evaluated
+//!    against the call's attributes (AST interpretation when the filter's
+//!    DNF blows up).
 //!
 //! Checking is stateless per call — the stateful inputs (ownership,
 //! quotas, packet-in provenance) come from a [`CheckContext`] the kernel
@@ -15,22 +15,18 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use bytes::Bytes;
 
 use crate::algebra::{to_dnf, Literal};
 use crate::api::{ApiCall, ApiCallKind, AppId};
 use crate::eval::{
-    classify, cost_rank, eval, eval_singleton, stats_level_of, CheckContext, EpochContext,
-    LiteralClass,
+    classify, cost_rank, eval, eval_singleton, CheckContext, LiteralClass, NullContext,
 };
-use crate::filter::{FilterExpr, Ownership, SingletonFilter, StatsLevel};
+use crate::filter::{FilterExpr, Ownership, SingletonFilter};
 use crate::perm::PermissionSet;
 use crate::token::PermissionToken;
-use sdnshield_openflow::actions::ActionList;
 use sdnshield_openflow::flow_match::FlowMatch;
 use sdnshield_openflow::flow_table::FlowEntry;
 use sdnshield_openflow::messages::{FlowMod, FlowModCommand};
@@ -95,9 +91,6 @@ struct CompiledEntry {
     /// The original expression (kept for interpretation and visibility
     /// filtering).
     original: FilterExpr,
-    /// Short-circuit DNF, when the filter normalizes within bounds: the call
-    /// passes if all literals of any term pass.
-    dnf: Option<Vec<Vec<Literal>>>,
     /// The check plan compiled from the DNF: static literals folded out,
     /// terms and literals ordered cheapest-first. `None` when the DNF blew
     /// up (checking falls back to AST interpretation).
@@ -112,7 +105,7 @@ struct CompiledEntry {
 struct PlanLiteral {
     filter: SingletonFilter,
     negated: bool,
-    /// Reads the [`CheckContext`]; evaluated last and never cached.
+    /// Reads the [`CheckContext`]; evaluated last.
     stateful: bool,
 }
 
@@ -136,7 +129,7 @@ struct CheckPlan {
     /// of any term passes.
     terms: Vec<Vec<PlanLiteral>>,
     /// No stateful literal survives anywhere: the outcome is a pure
-    /// function of the call shape, so decisions may be cached.
+    /// function of the call, decidable without a context.
     call_only: bool,
 }
 
@@ -215,273 +208,6 @@ impl CheckPlan {
     }
 }
 
-/// Canonical shape of a call for the decision cache: the token plus every
-/// call attribute a *call-only* literal can observe (flow space, priority,
-/// dpid, actions, statistics granularity). Two calls with equal shapes get
-/// the same answer from any call-only plan, so shape equality — not a lossy
-/// hash — is the cache key; a 64-bit fingerprint collision can therefore
-/// never change a decision (the fingerprint only picks the slot, and the
-/// stored shape is compared field-exactly on every probe).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct CallShape {
-    token: usize,
-    kind: u8,
-    dpid: Option<DatapathId>,
-    priority: Option<Priority>,
-    command: Option<FlowModCommand>,
-    flow_space: Option<FlowMatch>,
-    actions: Option<ActionList>,
-    stats: Option<StatsLevel>,
-}
-
-/// Discriminant tag of the call kind (the shape must distinguish, say, an
-/// insert from a delete with identical attributes).
-fn kind_tag(kind: &ApiCallKind) -> u8 {
-    match kind {
-        ApiCallKind::ReadFlowTable { .. } => 0,
-        ApiCallKind::InsertFlow { .. } => 1,
-        ApiCallKind::DeleteFlow { .. } => 2,
-        ApiCallKind::ReadTopology => 3,
-        ApiCallKind::ModifyTopology { .. } => 4,
-        ApiCallKind::ReadStatistics { .. } => 5,
-        ApiCallKind::ReadPayload { .. } => 6,
-        ApiCallKind::SendPacketOut { .. } => 7,
-        ApiCallKind::Subscribe { .. } => 8,
-        ApiCallKind::HostConnect { .. } => 9,
-        ApiCallKind::HostSend { .. } => 10,
-        ApiCallKind::FileOpen { .. } => 11,
-        ApiCallKind::ProcessExec { .. } => 12,
-    }
-}
-
-/// The flow-mod command and a *borrowed* action list, when present — the
-/// hot lookup path must not clone the actions vector.
-fn shape_parts(kind: &ApiCallKind) -> (Option<FlowModCommand>, Option<&ActionList>) {
-    match kind {
-        ApiCallKind::InsertFlow { flow_mod, .. } | ApiCallKind::DeleteFlow { flow_mod, .. } => {
-            (Some(flow_mod.command), Some(&flow_mod.actions))
-        }
-        ApiCallKind::SendPacketOut { packet_out, .. } => (None, Some(&packet_out.actions)),
-        _ => (None, None),
-    }
-}
-
-impl CallShape {
-    /// Materializes the shape (cloning the actions) — paid only when a miss
-    /// installs a new cache entry.
-    fn of(token: usize, call: &ApiCall) -> CallShape {
-        let (command, actions) = shape_parts(&call.kind);
-        CallShape {
-            token,
-            kind: kind_tag(&call.kind),
-            dpid: call.kind.dpid(),
-            priority: call.kind.priority(),
-            command,
-            flow_space: call.kind.flow_space(),
-            actions: actions.cloned(),
-            stats: stats_level_of(&call.kind),
-        }
-    }
-
-    /// Field-exact comparison against a borrowed call — no allocation.
-    fn matches(&self, token: usize, call: &ApiCall) -> bool {
-        let (command, actions) = shape_parts(&call.kind);
-        self.token == token
-            && self.kind == kind_tag(&call.kind)
-            && self.dpid == call.kind.dpid()
-            && self.priority == call.kind.priority()
-            && self.command == command
-            && self.actions.as_ref() == actions
-            && self.stats == stats_level_of(&call.kind)
-            && self.flow_space == call.kind.flow_space()
-    }
-}
-
-/// FxHash-style multiply-xor hasher for shape fingerprints. Quality only
-/// affects slot distribution, never decisions (probes compare shapes
-/// field-exactly), so the cheapest adequate mix wins.
-struct ShapeHasher(u64);
-
-impl ShapeHasher {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
-    }
-}
-
-impl Hasher for ShapeHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, mut bytes: &[u8]) {
-        while bytes.len() >= 8 {
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(&bytes[..8]);
-            self.add(u64::from_le_bytes(buf));
-            bytes = &bytes[8..];
-        }
-        if !bytes.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..bytes.len()].copy_from_slice(bytes);
-            self.add(u64::from_le_bytes(buf));
-        }
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.add(v as u64);
-    }
-
-    fn write_u16(&mut self, v: u16) {
-        self.add(v as u64);
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.add(v as u64);
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-}
-
-/// The canonical shape fingerprint, computed from borrowed call attributes
-/// (no `CallShape` is built on the lookup path). Must hash exactly the
-/// attributes [`CallShape::matches`] compares.
-fn shape_hash(token: usize, call: &ApiCall) -> u64 {
-    let (command, actions) = shape_parts(&call.kind);
-    let mut h = ShapeHasher(ShapeHasher::SEED);
-    token.hash(&mut h);
-    kind_tag(&call.kind).hash(&mut h);
-    call.kind.dpid().hash(&mut h);
-    call.kind.priority().hash(&mut h);
-    command.hash(&mut h);
-    actions.hash(&mut h);
-    stats_level_of(&call.kind).hash(&mut h);
-    call.kind.flow_space().hash(&mut h);
-    h.finish()
-}
-
-const CACHE_SHARDS: usize = 8;
-/// Direct-mapped slots per shard (power of two: low fingerprint bits pick
-/// the slot). Collisions overwrite — bounded memory with no eviction scans.
-const CACHE_SLOTS: usize = 1024;
-/// Misses before the admission heuristic considers bypassing the cache.
-const BYPASS_PROBE_MISSES: u64 = 4096;
-/// Checks served cache-free after the heuristic trips, before re-probing.
-const BYPASS_WINDOW: u64 = 65_536;
-
-/// The per-app decision cache: call-only filter outcomes in a sharded,
-/// direct-mapped table keyed by canonical call shape, each entry stamped
-/// with the context epoch it was computed under. An epoch mismatch is a
-/// miss (defense in depth — call-only decisions cannot actually go stale,
-/// and stateful literals are never cached, so the accepted staleness bound
-/// is zero).
-///
-/// An admission heuristic guards the miss cost: when shapes are not
-/// repeating (hit rate under 1/8 after [`BYPASS_PROBE_MISSES`] misses), the
-/// cache steps aside for [`BYPASS_WINDOW`] checks — unique-shape floods pay
-/// two relaxed atomic ops per check instead of hash + install, then the
-/// cache probes again in case the workload turned repetitive.
-#[derive(Debug, Default)]
-struct DecisionCache {
-    shards: [Mutex<Vec<Option<Slot>>>; CACHE_SHARDS],
-    /// Checks issued (fingerprint for bypass windows, all relaxed — the
-    /// counters are a heuristic; correctness never reads them).
-    checks: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// Bypass active while `checks < bypass_until`.
-    bypass_until: AtomicU64,
-}
-
-#[derive(Debug)]
-struct Slot {
-    hash: u64,
-    shape: CallShape,
-    outcome: CachedOutcome,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct CachedOutcome {
-    epoch: u64,
-    passed: bool,
-}
-
-/// Outcome of a cache probe.
-enum CacheQuery {
-    /// Cached decision for an identical shape at the current epoch.
-    Hit(bool),
-    /// Not cached; carries the shape fingerprint so the caller's insert
-    /// doesn't rehash.
-    Miss(u64),
-    /// The admission heuristic is holding the cache out of the hot path.
-    Bypass,
-}
-
-impl DecisionCache {
-    fn shard_of(hash: u64) -> usize {
-        (hash >> 32) as usize & (CACHE_SHARDS - 1)
-    }
-
-    fn slot_of(hash: u64) -> usize {
-        hash as usize & (CACHE_SLOTS - 1)
-    }
-
-    fn query(&self, token: usize, call: &ApiCall, epoch: u64) -> CacheQuery {
-        let n = self.checks.fetch_add(1, Ordering::Relaxed);
-        let until = self.bypass_until.load(Ordering::Relaxed);
-        if n < until {
-            return CacheQuery::Bypass;
-        }
-        if until != 0 && n == until {
-            // A bypass window just ended: fresh counters for the re-probe.
-            self.hits.store(0, Ordering::Relaxed);
-            self.misses.store(0, Ordering::Relaxed);
-        }
-        let hash = shape_hash(token, call);
-        let shard = self.shards[Self::shard_of(hash)]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(Some(slot)) = shard.get(Self::slot_of(hash)) {
-            if slot.hash == hash && slot.outcome.epoch == epoch && slot.shape.matches(token, call) {
-                let passed = slot.outcome.passed;
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return CacheQuery::Hit(passed);
-            }
-        }
-        drop(shard);
-        let m = self.misses.fetch_add(1, Ordering::Relaxed) + 1;
-        if m >= BYPASS_PROBE_MISSES && self.hits.load(Ordering::Relaxed) * 8 < m {
-            self.bypass_until
-                .store(n.wrapping_add(BYPASS_WINDOW), Ordering::Relaxed);
-        }
-        CacheQuery::Miss(hash)
-    }
-
-    fn insert(&self, token: usize, call: &ApiCall, hash: u64, epoch: u64, passed: bool) {
-        let mut shard = self.shards[Self::shard_of(hash)]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if shard.is_empty() {
-            // Slots allocate lazily: engines whose plans never cache (or
-            // that stay bypassed) pay nothing.
-            shard.resize_with(CACHE_SLOTS, || None);
-        }
-        shard[Self::slot_of(hash)] = Some(Slot {
-            hash,
-            shape: CallShape::of(token, call),
-            outcome: CachedOutcome { epoch, passed },
-        });
-    }
-}
-
 /// A compiled per-app permission checker.
 ///
 /// # Examples
@@ -498,20 +224,9 @@ impl DecisionCache {
 /// assert!(engine.check(&call, &NullContext).is_allowed());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PermissionEngine {
     entries: [Option<CompiledEntry>; PermissionToken::ALL.len()],
-    cache: DecisionCache,
-}
-
-impl Clone for PermissionEngine {
-    /// Clones the compiled entries; the clone starts with a cold cache.
-    fn clone(&self) -> Self {
-        PermissionEngine {
-            entries: self.entries.clone(),
-            cache: DecisionCache::default(),
-        }
-    }
 }
 
 impl PermissionEngine {
@@ -521,19 +236,14 @@ impl PermissionEngine {
         let mut entries = [NONE; PermissionToken::ALL.len()];
         for (token, filter) in manifest.iter() {
             let stubs = filter.stub_names().iter().map(|s| Arc::from(*s)).collect();
-            let dnf = to_dnf(filter);
-            let plan = dnf.as_deref().map(CheckPlan::compile);
+            let plan = to_dnf(filter).as_deref().map(CheckPlan::compile);
             entries[token_index(token)] = Some(CompiledEntry {
                 original: filter.clone(),
-                dnf,
                 plan,
                 stubs,
             });
         }
-        PermissionEngine {
-            entries,
-            cache: DecisionCache::default(),
-        }
+        PermissionEngine { entries }
     }
 
     /// The granted filter for a token, if any.
@@ -550,7 +260,7 @@ impl PermissionEngine {
         self.entries[token_index(token)].is_some()
     }
 
-    /// Token gate + stub gate shared by every checking tier.
+    /// Token gate + stub gate shared by the plan and the interpreter.
     fn gate(&self, token: PermissionToken) -> Result<&CompiledEntry, Decision> {
         let Some(entry) = self.entries[token_index(token)].as_ref() else {
             return Err(Decision::Denied {
@@ -578,9 +288,10 @@ impl PermissionEngine {
         }
     }
 
-    /// Checks a call on the fast path: compiled plan plus the epoch-keyed
-    /// decision cache for call-only plans. This is the production entry
-    /// point; the other tiers exist as ablation baselines (DESIGN.md §5).
+    /// Checks a call: token gate, stub gate, then the compiled plan (or AST
+    /// interpretation when the filter's DNF blew up). This is the one
+    /// production check path; [`PermissionEngine::check_interpreted`] is its
+    /// differential oracle.
     pub fn check(&self, call: &ApiCall, ctx: &dyn CheckContext) -> Decision {
         let token = call.required_token();
         let entry = match self.gate(token) {
@@ -588,20 +299,6 @@ impl PermissionEngine {
             Err(d) => return d,
         };
         let passed = match &entry.plan {
-            Some(plan) if plan.constant.is_some() => plan.constant.unwrap_or(false),
-            Some(plan) if plan.call_only => {
-                let token_idx = token.index();
-                let epoch = ctx.epoch();
-                match self.cache.query(token_idx, call, epoch) {
-                    CacheQuery::Hit(p) => p,
-                    CacheQuery::Miss(hash) => {
-                        let p = plan.eval(call, ctx);
-                        self.cache.insert(token_idx, call, hash, epoch, p);
-                        p
-                    }
-                    CacheQuery::Bypass => plan.eval(call, ctx),
-                }
-            }
             Some(plan) => plan.eval(call, ctx),
             None => eval(&entry.original, call, ctx),
         };
@@ -610,53 +307,33 @@ impl PermissionEngine {
 
     /// Checks a call *only when* the decision is a pure function of the
     /// call: token gate, stub gate, constant-folded plans, and call-only
-    /// plans (through the same epoch-keyed decision cache as
-    /// [`PermissionEngine::check`]). Returns `None` whenever the granted
-    /// filter retains a stateful literal after folding (or its DNF blew
-    /// up), i.e. whenever the decision could depend on tracker state beyond
-    /// what the epoch fingerprints — the caller must then route the call
-    /// through a context that can answer stateful queries.
+    /// plans. Returns `None` whenever the granted filter retains a stateful
+    /// literal after folding (or its DNF blew up) — the caller must then
+    /// route the call through a context that can answer stateful queries.
     ///
-    /// This is the app-side read fast path's entry point: the app thread
-    /// passes the kernel's observed context epoch, and a `Some` decision is
-    /// identical to what [`PermissionEngine::check`] would return against a
-    /// tracker context at that epoch.
-    pub fn check_call_only(&self, call: &ApiCall, epoch: u64) -> Option<Decision> {
+    /// This is the app-side read fast path's entry point. A `Some` decision
+    /// is identical to what [`PermissionEngine::check`] returns against any
+    /// context. `epoch` is not consulted: the kernel's fast lane pins and
+    /// re-reads its context epoch itself, around this call.
+    pub fn check_call_only(&self, call: &ApiCall, _epoch: u64) -> Option<Decision> {
         let token = call.required_token();
         let entry = match self.gate(token) {
             Ok(e) => e,
             Err(d) => return Some(d),
         };
-        let plan = entry.plan.as_ref()?;
-        if let Some(constant) = plan.constant {
-            return Some(Self::verdict(token, constant));
-        }
-        if !plan.call_only {
-            return None;
-        }
-        let ctx = EpochContext(epoch);
-        let token_idx = token.index();
-        let passed = match self.cache.query(token_idx, call, epoch) {
-            CacheQuery::Hit(p) => p,
-            CacheQuery::Miss(hash) => {
-                let p = plan.eval(call, &ctx);
-                self.cache.insert(token_idx, call, hash, epoch, p);
-                p
-            }
-            CacheQuery::Bypass => plan.eval(call, &ctx),
-        };
-        Some(Self::verdict(token, passed))
+        let plan = entry.plan.as_ref().filter(|p| p.call_only)?;
+        // A call-only plan never reads its context.
+        Some(Self::verdict(token, plan.eval(call, &NullContext)))
     }
 
-    /// Two-phase check against a pinned epoch: resolves the decision
-    /// lock-free via [`PermissionEngine::check_call_only`] whenever it is a
-    /// pure function of the call, and only materializes a stateful context
-    /// (by invoking `stateful`, which typically takes the tracker's read
-    /// lock) when the granted filter retains a stateful literal.
+    /// Two-phase check: resolves the decision without a context via
+    /// [`PermissionEngine::check_call_only`] whenever it is a pure function
+    /// of the call, and only materializes a stateful context (by invoking
+    /// `stateful`, which typically takes the tracker's read lock) when the
+    /// granted filter retains a stateful literal.
     ///
-    /// Equivalent to [`PermissionEngine::check`] against a tracker at
-    /// `epoch`: for call-only plans both paths consult the same epoch-keyed
-    /// cache, and for stateful plans this delegates to `check` outright.
+    /// Equivalent to [`PermissionEngine::check`] against the context
+    /// `stateful` returns. `epoch` is not consulted.
     pub fn check_with<C, G>(&self, call: &ApiCall, epoch: u64, stateful: G) -> Decision
     where
         C: std::ops::Deref,
@@ -669,43 +346,8 @@ impl PermissionEngine {
         }
     }
 
-    /// Checks a call through the compiled plan without consulting the
-    /// decision cache — the "plan" ablation tier.
-    pub fn check_uncached(&self, call: &ApiCall, ctx: &dyn CheckContext) -> Decision {
-        let token = call.required_token();
-        let entry = match self.gate(token) {
-            Ok(e) => e,
-            Err(d) => return d,
-        };
-        let passed = match &entry.plan {
-            Some(plan) => plan.eval(call, ctx),
-            None => eval(&entry.original, call, ctx),
-        };
-        Self::verdict(token, passed)
-    }
-
-    /// Checks a call using the raw DNF short-circuit (the pre-plan compiled
-    /// path) — the "dnf" ablation tier.
-    pub fn check_dnf(&self, call: &ApiCall, ctx: &dyn CheckContext) -> Decision {
-        let token = call.required_token();
-        let entry = match self.gate(token) {
-            Ok(e) => e,
-            Err(d) => return d,
-        };
-        let passed = match &entry.dnf {
-            Some(terms) => terms.iter().any(|term| {
-                term.iter().all(|lit| {
-                    let v = eval_singleton(&lit.filter, call, ctx);
-                    v != lit.negated
-                })
-            }),
-            None => eval(&entry.original, call, ctx),
-        };
-        Self::verdict(token, passed)
-    }
-
-    /// Checks a call by interpreting the original AST — the ablation
-    /// baseline for the compiled paths (DESIGN.md §5).
+    /// Checks a call by interpreting the original AST — the differential
+    /// oracle for the compiled plan (DESIGN.md §5).
     pub fn check_interpreted(&self, call: &ApiCall, ctx: &dyn CheckContext) -> Decision {
         let token = call.required_token();
         let entry = match self.gate(token) {
@@ -718,7 +360,7 @@ impl PermissionEngine {
     /// Is the token's compiled plan a pure function of the call (no
     /// stateful literal survived folding)? `false` when the token is not
     /// granted or its DNF blew up. Exposed for tests and benches.
-    pub fn plan_cacheable(&self, token: PermissionToken) -> bool {
+    pub fn plan_call_only(&self, token: PermissionToken) -> bool {
         self.entries[token_index(token)]
             .as_ref()
             .and_then(|e| e.plan.as_ref())
@@ -791,10 +433,10 @@ pub struct OwnershipTracker {
     pkt_in_seen: HashMap<AppId, VecDeque<u64>>,
     /// How many packet-in hashes to remember per app.
     pkt_in_window: usize,
-    /// Context epoch: advances on every mutation so engine decision caches
-    /// keyed on it invalidate (see [`CheckContext::epoch`]). The kernel
-    /// routes all tracker mutations through the `record_*` methods, which
-    /// bump it unconditionally.
+    /// Context epoch: advances on every mutation, so an observer can tell
+    /// whether the stateful answers may have changed between two reads.
+    /// The kernel routes all tracker mutations through the `record_*`
+    /// methods, which bump it unconditionally.
     epoch: u64,
 }
 
@@ -810,7 +452,8 @@ impl OwnershipTracker {
         }
     }
 
-    /// The current context epoch (see [`CheckContext::epoch`]).
+    /// The current context epoch: a counter that advances on every tracker
+    /// mutation.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -923,8 +566,8 @@ impl OwnershipTracker {
         }
     }
 
-    /// Rebuilds a tracker from a snapshot, restoring the epoch exactly so
-    /// decision caches keyed on it behave identically after recovery.
+    /// Rebuilds a tracker from a snapshot, restoring the epoch exactly so a
+    /// recovered kernel's state compares equal to the live one.
     pub fn restore(snapshot: &TrackerSnapshot) -> Self {
         OwnershipTracker {
             rules: snapshot
@@ -1027,10 +670,6 @@ impl CheckContext for OwnershipTracker {
         self.pkt_in_seen
             .get(&app)
             .is_some_and(|seen| seen.contains(&hash_payload(payload)))
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
     }
 }
 
@@ -1352,11 +991,11 @@ mod tests {
     #[test]
     fn plan_folds_static_literals_to_constants() {
         // ALL_FLOWS is static-true: the whole filter folds to constant-true
-        // and the plan stays cacheable.
+        // and the plan stays call-only.
         let engine = PermissionEngine::compile(
             &parse_manifest("PERM insert_flow LIMITING ALL_FLOWS").unwrap(),
         );
-        assert!(engine.plan_cacheable(PermissionToken::InsertFlow));
+        assert!(engine.plan_call_only(PermissionToken::InsertFlow));
         assert!(engine
             .check(&insert_call(1, Ipv4::new(1, 2, 3, 4), 32, 1), &NullContext)
             .is_allowed());
@@ -1365,7 +1004,7 @@ mod tests {
         let engine = PermissionEngine::compile(
             &parse_manifest("PERM insert_flow LIMITING NOT ALL_FLOWS").unwrap(),
         );
-        assert!(engine.plan_cacheable(PermissionToken::InsertFlow));
+        assert!(engine.plan_call_only(PermissionToken::InsertFlow));
         let call = insert_call(1, Ipv4::new(1, 2, 3, 4), 32, 1);
         assert!(!engine.check(&call, &NullContext).is_allowed());
         assert_eq!(
@@ -1375,50 +1014,18 @@ mod tests {
     }
 
     #[test]
-    fn stateful_plans_are_not_cacheable() {
+    fn stateful_plans_are_not_call_only() {
         let engine = PermissionEngine::compile(
             &parse_manifest(
                 "PERM insert_flow LIMITING OWN_FLOWS OR IP_DST 10.13.0.0 MASK 255.255.0.0",
             )
             .unwrap(),
         );
-        assert!(!engine.plan_cacheable(PermissionToken::InsertFlow));
+        assert!(!engine.plan_call_only(PermissionToken::InsertFlow));
         let engine = PermissionEngine::compile(
             &parse_manifest("PERM insert_flow LIMITING IP_DST 10.13.0.0 MASK 255.255.0.0").unwrap(),
         );
-        assert!(engine.plan_cacheable(PermissionToken::InsertFlow));
-    }
-
-    /// A context whose epoch the test can bump, to observe invalidation.
-    struct EpochCtx(u64);
-    impl CheckContext for EpochCtx {
-        fn epoch(&self) -> u64 {
-            self.0
-        }
-    }
-
-    #[test]
-    fn decision_cache_hits_and_epoch_invalidation() {
-        let engine = PermissionEngine::compile(
-            &parse_manifest("PERM insert_flow LIMITING IP_DST 10.13.0.0 MASK 255.255.0.0").unwrap(),
-        );
-        let hit = insert_call(1, Ipv4::new(10, 13, 7, 0), 24, 5);
-        let miss = insert_call(1, Ipv4::new(10, 99, 0, 0), 24, 5);
-        for epoch in [0u64, 1, 2, u64::MAX] {
-            let ctx = EpochCtx(epoch);
-            // First call populates, second must hit and agree; every answer
-            // must match the uncached tiers regardless of epoch churn.
-            for call in [&hit, &miss] {
-                let first = engine.check(call, &ctx);
-                let second = engine.check(call, &ctx);
-                assert_eq!(first, second);
-                assert_eq!(first, engine.check_uncached(call, &ctx));
-                assert_eq!(first, engine.check_dnf(call, &ctx));
-                assert_eq!(first, engine.check_interpreted(call, &ctx));
-            }
-            assert!(engine.check(&hit, &ctx).is_allowed());
-            assert!(!engine.check(&miss, &ctx).is_allowed());
-        }
+        assert!(engine.plan_call_only(PermissionToken::InsertFlow));
     }
 
     #[test]
@@ -1434,8 +1041,5 @@ mod tests {
         assert_ne!(e1, e2);
         tracker.record_pkt_in(AppId(1), &Bytes::from_static(b"pkt"));
         assert_ne!(e2, tracker.epoch());
-        // The trait surface exposes the same counter.
-        let ctx: &dyn CheckContext = &tracker;
-        assert_eq!(ctx.epoch(), tracker.epoch());
     }
 }

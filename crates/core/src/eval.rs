@@ -45,15 +45,6 @@ pub trait CheckContext {
         let _ = (app, payload);
         false
     }
-
-    /// A counter that advances whenever the answers of the other methods may
-    /// have changed (tracker/quota mutations). The engine's decision cache
-    /// keys entries on this epoch; a stale epoch is a cache miss, never a
-    /// stale answer. Contexts whose state never changes may keep the
-    /// default constant.
-    fn epoch(&self) -> u64 {
-        0
-    }
 }
 
 /// A [`CheckContext`] with permissive defaults: no foreign flows, zero rule
@@ -64,23 +55,6 @@ pub struct NullContext;
 impl CheckContext for NullContext {
     fn is_from_pkt_in(&self, _app: AppId, _payload: &Bytes) -> bool {
         true
-    }
-}
-
-/// A [`CheckContext`] carrying only an epoch observation — the app-side
-/// read fast path's context.
-///
-/// Call-only check plans never consult the stateful methods, so the
-/// (deliberately restrictive) defaults below are unreachable on that path;
-/// the epoch keys the engine's decision cache exactly as the kernel-side
-/// tracker context would at the same instant. Callers that cannot prove a
-/// plan is call-only must use a real tracker-backed context instead.
-#[derive(Debug, Clone, Copy)]
-pub struct EpochContext(pub u64);
-
-impl CheckContext for EpochContext {
-    fn epoch(&self) -> u64 {
-        self.0
     }
 }
 
@@ -192,10 +166,10 @@ pub enum LiteralClass {
     /// compilation folds the literal out.
     Static(bool),
     /// Depends only on the call's own attributes — a pure function of the
-    /// [`ApiCall`], cacheable per call shape.
+    /// [`ApiCall`], decidable without a context.
     CallOnly,
     /// Reads the kernel's [`CheckContext`] (ownership, quotas, packet-in
-    /// provenance). Never cached: the answer can change between calls.
+    /// provenance): the answer can change between calls.
     Stateful,
 }
 
@@ -204,7 +178,7 @@ pub enum LiteralClass {
 /// The classification must stay conservative with respect to the evaluator:
 /// a filter marked [`LiteralClass::CallOnly`] must never read the context,
 /// and one marked [`LiteralClass::Static`] must evaluate to the carried
-/// constant for *every* call. The plan/cache ≡ interpreted property test
+/// constant for *every* call. The plan ≡ interpreted property test
 /// enforces this end to end.
 pub fn classify(f: &SingletonFilter) -> LiteralClass {
     match f {
@@ -250,16 +224,6 @@ pub fn cost_rank(f: &SingletonFilter) -> u8 {
         SingletonFilter::MaxRuleCount(_) => 6,
         SingletonFilter::PktOut(PktOutSource::FromPktIn) => 7,
         SingletonFilter::Ownership(Ownership::OwnFlows) => 8,
-    }
-}
-
-/// The statistics granularity a call demands, exposed for the engine's
-/// canonical call shape (the decision-cache key must capture every call
-/// attribute a call-only filter can observe).
-pub(crate) fn stats_level_of(kind: &ApiCallKind) -> Option<StatsLevel> {
-    match kind {
-        ApiCallKind::ReadStatistics { request, .. } => Some(required_stats_level(request)),
-        _ => None,
     }
 }
 

@@ -42,7 +42,8 @@ pub enum TraceEvent {
         app: AppId,
     },
     /// One permission decision. `lane` names the code path that decided
-    /// (`deputy`, `fastlane`, `vectored`, `batch`).
+    /// (`deputy` for deputy calls and host sends, `fastlane`, `vectored`,
+    /// `batch`).
     Decision {
         /// Code path that made the decision.
         lane: String,

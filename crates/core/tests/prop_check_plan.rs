@@ -1,19 +1,18 @@
-//! Differential property test of the permission-check fast path: for
-//! arbitrary manifests (including stateful atoms and stubs), arbitrary
-//! calls, and an evolving stateful context, all four checking tiers must
-//! agree on every decision —
+//! Differential property test of the permission-check path: for arbitrary
+//! manifests (including stateful atoms and stubs), arbitrary calls, and an
+//! evolving stateful context, the compiled plan must agree with AST
+//! interpretation (the semantic oracle) on every decision —
 //!
-//! * `check` — compiled plan + epoch-keyed decision cache,
-//! * `check_uncached` — compiled plan without the cache,
-//! * `check_dnf` — raw DNF short-circuit (pre-plan compiled path),
-//! * `check_interpreted` — AST interpretation (the semantic baseline).
+//! * `check` — the compiled plan, against the tracker,
+//! * `check_call_only` — whenever it answers `Some` (call-only plans),
+//! * `check_with` — the two-phase entry the kernel's deputies use,
 //!
-//! The context mutates between checks (flow-mods, expiries, packet-ins),
-//! each mutation bumping the tracker's epoch, so cached decisions are
-//! exercised across invalidation boundaries: the cache must never change a
-//! decision, before or after an epoch bump.
+//! all equal `check_interpreted`. The context mutates between checks
+//! (flow-mods, expiries, packet-ins), so stateful literals are exercised
+//! against changing ownership, quotas and packet-in provenance.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use bytes::Bytes;
 use sdnshield_core::api::{ApiCall, ApiCallKind, AppId};
@@ -148,8 +147,8 @@ fn arb_call() -> impl Strategy<Value = ApiCall> {
     ]
 }
 
-/// A context mutation, applied to the tracker between checks. Every variant
-/// routes through a `record_*` method, so every variant bumps the epoch.
+/// A context mutation, applied to the tracker between checks through its
+/// `record_*` methods.
 #[derive(Debug, Clone)]
 enum Mutation {
     FlowMod { app: u16, net: u32, prio: u16 },
@@ -198,27 +197,51 @@ fn engine_for(filter: FilterExpr) -> PermissionEngine {
     ]))
 }
 
+/// Every check path's answer for `call`, compared against the oracle.
+fn assert_paths_agree(
+    engine: &PermissionEngine,
+    call: &ApiCall,
+    tracker: &OwnershipTracker,
+) -> Result<(), TestCaseError> {
+    let want = engine.check_interpreted(call, tracker);
+    let got = engine.check(call, tracker);
+    prop_assert!(got == want, "check: {:?} != {:?} on {}", got, want, call);
+    if let Some(got) = engine.check_call_only(call, tracker.epoch()) {
+        prop_assert!(
+            got == want,
+            "check_call_only: {:?} != {:?} on {}",
+            got,
+            want,
+            call
+        );
+    }
+    let got = engine.check_with(call, tracker.epoch(), || tracker);
+    prop_assert!(
+        got == want,
+        "check_with: {:?} != {:?} on {}",
+        got,
+        want,
+        call
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// All four tiers agree on every call against a static context.
+    /// Every path agrees with the oracle on every call against a fresh
+    /// context.
     #[test]
-    fn tiers_agree_on_static_context(f in arb_filter(), call in arb_call()) {
+    fn paths_agree_on_static_context(f in arb_filter(), call in arb_call()) {
         let engine = engine_for(f);
         let tracker = OwnershipTracker::new();
-        let want = engine.check_interpreted(&call, &tracker);
-        prop_assert_eq!(engine.check_dnf(&call, &tracker), want.clone());
-        prop_assert_eq!(engine.check_uncached(&call, &tracker), want.clone());
-        // Twice through the cached path: populate, then hit.
-        prop_assert_eq!(engine.check(&call, &tracker), want.clone());
-        prop_assert_eq!(engine.check(&call, &tracker), want);
+        assert_paths_agree(&engine, &call, &tracker)?;
     }
 
-    /// The cache never changes a decision across an evolving context: at
-    /// every step — before and after each epoch-bumping mutation — the
-    /// cached fast path matches the interpreted baseline on every call.
+    /// Every path agrees with the oracle across an evolving context: at
+    /// every step, before and after each mutation, on every call.
     #[test]
-    fn cache_sound_across_epoch_bumps(
+    fn paths_agree_across_mutations(
         f in arb_filter(),
         calls in proptest::collection::vec(arb_call(), 1..6),
         mutations in proptest::collection::vec(arb_mutation(), 1..8),
@@ -227,25 +250,12 @@ proptest! {
         let mut tracker = OwnershipTracker::new();
         for m in &mutations {
             for call in &calls {
-                let want = engine.check_interpreted(call, &tracker);
-                prop_assert!(
-                    engine.check(call, &tracker) == want,
-                    "cached path diverged before mutation {:?} at epoch {}", m, tracker.epoch()
-                );
-                prop_assert_eq!(engine.check_uncached(call, &tracker), want.clone());
-                prop_assert_eq!(engine.check_dnf(call, &tracker), want);
+                assert_paths_agree(&engine, call, &tracker)?;
             }
-            let before = tracker.epoch();
             apply(&mut tracker, m);
-            prop_assert!(before != tracker.epoch(), "mutation must bump the epoch");
-            // Re-check the same calls immediately after the bump: any stale
-            // cached outcome would surface here.
-            for call in &calls {
-                prop_assert!(
-                    engine.check(call, &tracker) == engine.check_interpreted(call, &tracker),
-                    "cached path diverged after mutation {:?} at epoch {}", m, tracker.epoch()
-                );
-            }
+        }
+        for call in &calls {
+            assert_paths_agree(&engine, call, &tracker)?;
         }
     }
 }

@@ -14,7 +14,7 @@
 //!
 //! 3. The SAT verdict must be sound for enforcement on point calls: a
 //!    filter the solver proves unsatisfiable must deny every exact-match
-//!    insert through both the compiled DNF path and the AST interpreter.
+//!    insert through both the compiled check plan and the AST interpreter.
 //!    (A point call induces a truth assignment over comparison atoms —
 //!    membership of one address, one priority — and that assignment is
 //!    theory-consistent, so unsat means no such call can pass. The reverse
@@ -193,7 +193,7 @@ proptest! {
     }
 
     /// Unsat is sound for enforcement: a provably unsatisfiable filter
-    /// denies every point insert, on both the compiled DNF path and the
+    /// denies every point insert, on both the compiled check plan and the
     /// AST interpreter — and the two runtime paths agree regardless.
     #[test]
     fn unsat_filters_deny_point_calls(
@@ -209,14 +209,14 @@ proptest! {
         let engine = PermissionEngine::compile(&PermissionSet::from_permissions([
             Permission::limited(PermissionToken::InsertFlow, f.clone()),
         ]));
-        let dnf_allows = matches!(engine.check_dnf(&call, &NullContext), Decision::Allowed);
+        let plan_allows = matches!(engine.check(&call, &NullContext), Decision::Allowed);
         let interp_allows = matches!(engine.check_interpreted(&call, &NullContext), Decision::Allowed);
-        prop_assert_eq!(dnf_allows, interp_allows, "engine paths disagree on {:?}", f);
+        prop_assert_eq!(plan_allows, interp_allows, "engine paths disagree on {:?}", f);
         if !sat::satisfiable(&f) {
             // The raw interpreter evaluates stubs to false — exactly one of
             // the assignments the solver quantified over — so unsat means
             // deny on every path, gated or not.
-            prop_assert!(!dnf_allows, "unsat filter allowed a call: {:?}", f);
+            prop_assert!(!plan_allows, "unsat filter allowed a call: {:?}", f);
             prop_assert!(!eval(&f, &call, &NullContext), "unsat filter evaluated true: {:?}", f);
         }
     }

@@ -4,9 +4,9 @@
 //! trace_gen --out FILE [--commands N] [--seed S] [--corrupt]
 //! ```
 //!
-//! Builds a journaled kernel with enforcement, the read fast lane, the
-//! decision cache, and batching all live; registers a small app market with
-//! deliberately different authority levels; and drives a seeded random
+//! Builds a journaled kernel with enforcement, the read fast lane and
+//! batching all live; registers a small app market with deliberately
+//! different authority levels; and drives a seeded random
 //! workload through every decision seam — deputy calls, fast-lane reads,
 //! vectored packet-outs, and atomic batches — with the decision trace
 //! recorder armed. The resulting trace is the conformance-certification

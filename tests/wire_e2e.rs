@@ -643,3 +643,122 @@ fn flooding_neighbour_does_not_hasten_echo_probes() {
     handle.shutdown();
     controller.shutdown();
 }
+
+/// Answers packet-ins from one switch with a PACKET_OUT and drops the rest
+/// unanswered, so a neighbour's flood costs the app next to nothing and its
+/// queue never sheds the one packet-in that is answered.
+struct AnswerSwitch(DatapathId);
+
+impl sdnshield::controller::app::App for AnswerSwitch {
+    fn name(&self) -> &str {
+        "answer-switch"
+    }
+
+    fn on_start(&mut self, ctx: &sdnshield::controller::app::AppCtx) {
+        ctx.subscribe(sdnshield::core::api::EventKind::PacketIn)
+            .expect("pkt_in_event granted");
+    }
+
+    fn on_event(
+        &mut self,
+        ctx: &sdnshield::controller::app::AppCtx,
+        event: &sdnshield::controller::events::Event,
+    ) {
+        if let sdnshield::controller::events::Event::PacketIn { dpid, packet_in } = event {
+            if *dpid == self.0 {
+                let po = PacketOut {
+                    buffer_id: BufferId::NO_BUFFER,
+                    in_port: packet_in.in_port,
+                    actions: ActionList::output(PortNo(2)),
+                    payload: packet_in.payload.clone(),
+                };
+                ctx.send_packet_out(*dpid, po)
+                    .expect("send_pkt_out granted");
+            }
+        }
+    }
+}
+
+/// A peer that writes without pause must not starve the other connections:
+/// while switch 1 floods packet-ins unwindowed, switch 2's single
+/// packet-in is still read, mediated and answered with its PACKET_OUT
+/// within a bound far below the flood's length.
+#[test]
+fn flooding_neighbour_does_not_starve_other_connections() {
+    use sdnshield::core::parse_manifest;
+    use sdnshield::netsim::network::Network;
+    use sdnshield::netsim::topology::builders;
+
+    const FLOOD: Duration = Duration::from_secs(3);
+    const BOUND: Duration = Duration::from_secs(1);
+    let controller = Arc::new(sdnshield::controller::ShieldedController::new(
+        Network::new(builders::linear(2), 1024),
+        2,
+    ));
+    controller.kernel().set_absorb_packet_outs(true);
+    controller
+        .register(
+            Box::new(AnswerSwitch(DatapathId(2))),
+            &parse_manifest("PERM pkt_in_event\nPERM read_payload\nPERM send_pkt_out").unwrap(),
+        )
+        .unwrap();
+    let handle = sdnshield::controller::southbound::spawn_southbound(
+        Arc::clone(&controller),
+        "127.0.0.1:0",
+        SouthboundConfig::default(),
+    )
+    .unwrap();
+    let (mut flooder, _dec) = raw_switch(handle.local_addr(), DatapathId(1));
+    let mut victim =
+        SwitchConn::connect(handle.local_addr(), DatapathId(2), Duration::from_secs(10)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.stats().handshakes < 2 {
+        assert!(Instant::now() < deadline, "second handshake");
+        thread::sleep(Duration::from_millis(1));
+    }
+    flooder.set_nonblocking(false).unwrap();
+    let mut burst = Vec::new();
+    for xid in 0..1024 {
+        wire::encode_into(
+            &OfMessage::new(Xid(xid), OfBody::PacketIn(arp_packet_in())),
+            &mut burst,
+        );
+    }
+
+    let stop = AtomicBool::new(false);
+    let (answer, waited) = thread::scope(|s| {
+        let flooder = &mut flooder;
+        let stop = &stop;
+        s.spawn(move || {
+            let end = Instant::now() + FLOOD;
+            while !stop.load(Ordering::SeqCst) && Instant::now() < end {
+                if flooder.write_all(&burst).is_err() {
+                    break;
+                }
+            }
+        });
+        // Let the flood get going before switch 2 speaks.
+        let flood_seen = Instant::now() + Duration::from_secs(2);
+        while handle.stats().packet_ins < 10_000 && Instant::now() < flood_seen {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let start = Instant::now();
+        victim.send_packet_in(&arp_packet_in()).unwrap();
+        let answer = victim.recv_event();
+        let waited = start.elapsed();
+        stop.store(true, Ordering::SeqCst);
+        (answer, waited)
+    });
+    assert!(
+        matches!(answer, Ok(WireEvent::PacketOut(_))),
+        "expected the mediated PACKET_OUT, got {answer:?}"
+    );
+    assert!(
+        waited < BOUND,
+        "switch 2 answered after {waited:?} behind a flooding neighbour"
+    );
+
+    drop((flooder, victim));
+    handle.shutdown();
+    controller.shutdown();
+}
